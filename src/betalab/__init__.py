@@ -48,7 +48,6 @@ from .precision import (
     PrecisionBudget,
     PrecisionExhausted,
     UndeterminedValue,
-    beta_from_exact,
     orbit_with_digits,
     parse_beta,
     tb_apply,
@@ -93,6 +92,7 @@ from .weyl import (
     WeylSeries,
     empirical_fourier,
     invariance_defect,
+    invariance_defects,
     lemma32_check,
     mean_decay_profile,
     multiplicatively_independent,

@@ -62,7 +62,7 @@ from .sources import (
 )
 from .weyl import (
     PROXY_NOTE,
-    invariance_defect,
+    invariance_defects,
     lemma32_check,
     mean_decay_profile,
     optimize_exponent_grid,
@@ -493,7 +493,7 @@ def cmd_invariance(args, ws: Workspace) -> int:
     x = parse_point(args.x)
     n = args.N
     series = weyl_sums(b, x, (n,), (1,), digits_required=args.digits_required)
-    rows = [(k, invariance_defect(series, k)) for k in range(1, args.degrees + 1)]
+    rows = list(enumerate(invariance_defects(series, args.degrees), start=1))
     max_defect = max(d for _, d in rows)
     budget = 2.0 / n
     ws.write_json(

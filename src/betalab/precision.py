@@ -4,10 +4,20 @@ Bases are exact rationals, exact real-quadratic numbers, or high-precision
 decimal literals; orbit points are dyadic interval enclosures.  Every emitted digit
 floor(b*x) is certified: either the enclosure of b*x stays inside one integer
 cell, or an exact backing resolves the branch (points exactly at a cut take the
-right-continuous branch, so T(x) = 0 with digit floor(b*x)).  Interval runs
-restart with doubled precision on any ambiguous branch; decimal-literal bases
-carry no exact certificates, so persistent ambiguity there raises instead of
-silently guessing.
+right-continuous branch, so T(x) = 0 with digit floor(b*x)).  Decimal-literal
+bases carry no exact certificates, so persistent ambiguity there raises instead
+of silently guessing.
+
+The interval engine treats greedy digits as a radix conversion and divides and
+conquers (Brent & Zimmermann, Modern Computer Arithmetic, 2010, sec. 1.7): it
+runs the first half of the steps on the top bits of the enclosure only, jumps
+over them exactly with T^h x = b^h x - sum_k d_k b^(h-1-k), evaluated over
+Z[sqrt(d)] from the certified digits, and recurses on the rest; short segments
+run a per-step loop.  A point with r steps to go is held at about
+r*log2(b) + 64 guard bits beyond the requested output precision.  An ambiguous
+branch restarts the pass with doubled budget bits, and every working scale
+grows by the bits gained over the first budget, so each restart really
+computes more precisely.
 """
 
 from __future__ import annotations
@@ -242,18 +252,6 @@ def parse_beta(text: str, default_bits: int = DEFAULT_DECIMAL_BITS) -> BetaNumbe
     raise DescriptorError(f"cannot parse base descriptor {text!r}")
 
 
-def beta_from_exact(value: ExactValue, bits: int = DEFAULT_DECIMAL_BITS) -> BetaNumber:
-    """Wrap an exact rational or quadratic value > 1 as a BetaNumber."""
-    if isinstance(value, Quadratic):
-        if value.cmp_rational(1) <= 0:
-            raise DescriptorError("base must exceed 1")
-        return _build_quadratic(value, repr(value), bits)
-    value = Fraction(value)
-    if value <= 1:
-        raise DescriptorError("base must exceed 1")
-    return _build_rational(value, str(value), bits)
-
-
 # ---------------------------------------------------------------------------
 # single certified step
 
@@ -364,6 +362,159 @@ def _exact_orbit(
     return points, digits
 
 
+# Orbit segments of at most this many steps run the per-step loop; longer ones
+# split in half and jump over the first half exactly.  Orbit cost is flat for
+# values from 32 to 128; 128 keeps orbits of the CLI's default 100 steps on the
+# per-step loop, so the enclosure widths they report are unchanged.
+_BASE_STEPS = 128
+# A jump's exact integers grow by log2(max(|u| + |v| sqrt(d), w)) bits per
+# digit.  Past this multiple of the working scale (a base written with a long
+# denominator, e.g. a decimal literal of 40 digits or more) the per-step loop
+# is cheaper.  Halves pass the test whenever their parent does, so in effect
+# it picks one engine per orbit.
+_JUMP_SIZE_RATIO = 64
+
+
+def _integer_form(b: BetaNumber) -> tuple[int, int, int, int]:
+    """Integers (u, v, d, w) with b = (u + v*sqrt(d))/w exactly; v = d = 0 for
+    rational bases and decimal literals."""
+    if b.kind == "quadratic":
+        q = b._quad
+        w = math.lcm(q.u.denominator, q.v.denominator)
+        return int(q.u * w), int(q.v * w), q.d, w
+    value = b._rational if b.kind == "rational" else b._literal
+    return value.numerator, 0, 0, value.denominator
+
+
+def _zmul(x: tuple[int, int], y: tuple[int, int], d: int) -> tuple[int, int]:
+    """Product of a + c*sqrt(d) and e + f*sqrt(d), as coefficient pairs."""
+    a, c = x
+    e, f = y
+    return a * e + d * c * f, a * f + c * e
+
+
+class _IntervalOrbit:
+    """State of one fixed-budget interval pass: the divide-and-conquer engine.
+
+    A segment of n steps runs its first h = n/2 steps on the top bits of its
+    enclosure only, then jumps: every point of the enclosure shares those h
+    certified digits d_k, so T^h x = b^h x - P(b) with P = sum d_k b^(h-1-k).
+    With b = beta/w, beta = u + v*sqrt(d), the jump is evaluated exactly from
+    the segment's digit block (beta^h, w^h, N), N = sum d_k beta^(h-1-k) w^k,
+    and rounded outward once.  Short segments run the per-step loop, so the
+    integers stay near the minimum size either way.
+    """
+
+    def __init__(self, b: BetaNumber, bits: int, slack: int, log2b_up: float):
+        self.bits = bits
+        self.slack = slack
+        self.log2b_up = log2b_up
+        self.b_lo_full, self.b_hi_full = b.scaled_bounds(bits)
+        u, v, self.d, self.w = _integer_form(b)
+        self.beta = (u, v)
+        self.log2_size = math.log2(max(abs(u) + abs(v) * (math.isqrt(self.d) + 1), self.w))
+        self.triples: list[tuple[int, int, int]] = []
+        self.digits: list[int] = []
+
+    def scale(self, rem: int) -> int:
+        """Working scale of a point with rem steps still to run from it."""
+        return min(self.bits, math.ceil(rem * self.log2b_up) + self.slack)
+
+    def run(self, x_lo: int, x_hi: int, s: int, n: int, need_block: bool):
+        """Advance [x_lo, x_hi]/2^s, with s = scale(n), by n steps.
+
+        Appends each step's (lo, hi, scale) triple and digit; returns the
+        segment's digit block when need_block is set.
+        """
+        h = n // 2
+        if n <= _BASE_STEPS or h * self.log2_size > _JUMP_SIZE_RATIO * s:
+            first = len(self.digits)
+            self._steps(x_lo, x_hi, s, n)
+            return self._block(self.digits[first:]) if need_block else None
+        s1 = self.scale(h)
+        drop = s - s1
+        head = self.run(x_lo >> drop, -((-x_hi) >> drop), s1, h, True)
+        s2 = self.scale(n - h)
+        y_lo, y_hi = self._jump(x_lo, x_hi, s, head, s2)
+        tail = self.run(y_lo, y_hi, s2, n - h, need_block)
+        return self._combine(head, tail) if need_block else None
+
+    def _steps(self, x_lo: int, x_hi: int, s: int, n: int) -> None:
+        """The per-step loop: one outward-rounded product per step."""
+        bits = self.bits
+        for i in range(n):
+            shift = bits - s
+            b_lo = self.b_lo_full >> shift
+            b_hi = -((-self.b_hi_full) >> shift)
+            y_lo = (x_lo * b_lo) >> s
+            y_hi = -((-(x_hi * b_hi)) >> s)
+            k = y_lo >> s
+            if y_hi >> s != k:
+                raise AmbiguousBranch(
+                    f"step {len(self.digits)}: enclosure straddles an integer at {bits} bits"
+                )
+            x_lo = y_lo - (k << s)
+            x_hi = y_hi - (k << s)
+            s_next = self.scale(n - i - 1)
+            if s_next < s:
+                drop = s - s_next
+                x_lo >>= drop
+                x_hi = -((-x_hi) >> drop)
+                s = s_next
+            self.triples.append((x_lo, x_hi, s))
+            self.digits.append(k)
+
+    def _block(self, digits: list[int]):
+        """(beta^n, w^n, N) for a run of n digits, by Horner's rule."""
+        d, w, beta = self.d, self.w, self.beta
+        power, w_power, acc = (1, 0), 1, (0, 0)
+        for k in digits:
+            a, c = _zmul(acc, beta, d)
+            acc = (a + k * w_power, c)
+            power = _zmul(power, beta, d)
+            w_power *= w
+        return power, w_power, acc
+
+    def _combine(self, left, right):
+        """Block of two adjacent runs: N_ij = N_im beta^(j-m) + N_mj w^(m-i)."""
+        p_left, w_left, n_left = left
+        p_right, w_right, n_right = right
+        a, c = _zmul(n_left, p_right, self.d)
+        return (
+            _zmul(p_left, p_right, self.d),
+            w_left * w_right,
+            (a + n_right[0] * w_left, c + n_right[1] * w_left),
+        )
+
+    def _jump(self, x_lo: int, x_hi: int, s: int, block, s2: int) -> tuple[int, int]:
+        """Enclosure at scale s2 of T^h over [x_lo, x_hi]/2^s, from the block of
+        the h digits every point of it shares, intersected with [0, 1].
+
+        T^h x = (beta^h x - w N) / w^h, increasing in x.
+        """
+        (pa, pc), w_power, (na, nc) = block
+        wna, wnc = (self.w * na) << s, (self.w * nc) << s
+        shift = s - s2
+        lo = self._round(pa * x_lo - wna, pc * x_lo - wnc, w_power, shift, up=False)
+        hi = self._round(pa * x_hi - wna, pc * x_hi - wnc, w_power, shift, up=True)
+        return max(lo, 0), min(hi, 1 << s2)
+
+    def _round(self, g: int, e: int, den: int, shift: int, up: bool) -> int:
+        """floor, or ceil if up, of (g + e*sqrt(d)) / (den * 2^shift).
+
+        sqrt(d) is enclosed by isqrt at t bits, enough that its error moves
+        the quotient by at most 2^-32.
+        """
+        t = 0
+        if e:
+            t = max(0, e.bit_length() - den.bit_length() + 33 - shift)
+            r = math.isqrt(self.d << (2 * t))  # sqrt(d) * 2^t in (r, r + 1)
+            g = (g << t) + e * (r + 1 if (e > 0) == up else r)
+        if up:
+            return -(((-g) >> (shift + t)) // den)
+        return (g >> (shift + t)) // den
+
+
 def _interval_orbit_attempt(
     b: BetaNumber,
     lo0: Fraction,
@@ -372,47 +523,19 @@ def _interval_orbit_attempt(
     bits: int,
     width_bits: int,
     log2b_up: float,
+    guard: int,
 ) -> tuple[list[tuple[int, int, int]], list[int]]:
     """One fixed-budget interval pass.
 
     Returns per-step (lo_mantissa, hi_mantissa, scale) triples plus digits, or
-    raises AmbiguousBranch.  The working scale shrinks as remaining steps drop,
-    which keeps the big-integer products near the minimum needed size.
+    raises AmbiguousBranch.  A point with r steps to go is held at scale
+    min(bits, r*log2(b) + width_bits + 64 + guard), which keeps the big-integer
+    products near the minimum needed size; guard is what a restart adds.
     """
-    b_lo_full, b_hi_full = b.scaled_bounds(bits)
-    slack = width_bits + 64
-
-    def scale_for(i: int) -> int:
-        rem = n_steps - i - 1
-        return min(bits, max(slack, math.ceil(rem * log2b_up) + slack))
-
-    s = min(bits, max(slack, math.ceil(n_steps * log2b_up) + slack))
-    x_lo = scaled_floor(lo0, s)
-    x_hi = scaled_ceil(hi0, s)
-    out: list[tuple[int, int, int]] = []
-    digits: list[int] = []
-    for i in range(n_steps):
-        shift = bits - s
-        b_lo = b_lo_full >> shift
-        b_hi = -((-b_hi_full) >> shift)
-        y_lo = (x_lo * b_lo) >> s
-        y_hi = -((-(x_hi * b_hi)) >> s)
-        k_lo = y_lo >> s
-        k_hi = y_hi >> s
-        if k_lo != k_hi:
-            raise AmbiguousBranch(f"step {i}: enclosure straddles an integer at {bits} bits")
-        k = k_lo
-        x_lo = y_lo - (k << s)
-        x_hi = y_hi - (k << s)
-        s_next = scale_for(i)
-        if s_next < s:
-            drop = s - s_next
-            x_lo >>= drop
-            x_hi = -((-x_hi) >> drop)
-            s = s_next
-        out.append((x_lo, x_hi, s))
-        digits.append(k)
-    return out, digits
+    engine = _IntervalOrbit(b, bits, width_bits + 64 + guard, log2b_up)
+    s = engine.scale(n_steps)
+    engine.run(scaled_floor(lo0, s), scaled_ceil(hi0, s), s, n_steps, need_block=False)
+    return engine.triples, engine.digits
 
 
 def _width_ok(triples: list[tuple[int, int, int]], digits_required: int) -> bool:
@@ -433,6 +556,65 @@ def _mid_float(lo: int, hi: int, s: int) -> float:
     return math.ldexp(float(tot >> shift), shift - s - 1)
 
 
+def _certified_orbit(
+    b: BetaNumber,
+    x0: object,
+    n_steps: int,
+    digits_required: int,
+    budget: PrecisionBudget | None,
+    method: str,
+    exact_cutoff: int,
+) -> tuple[list[tuple[int, int, int]] | None, list[Enclosure] | None, list[int], int]:
+    """The restart driver behind every orbit entry point.
+
+    Returns (triples, points, digits, bits_used): triples from the interval
+    path, or points from the exact path (bits_used 0); the other is None.
+    method "auto" takes the exact path first when n_steps <= exact_cutoff.
+    Each restart doubles the budget bits and widens every working scale by the
+    bits gained over the initial budget.
+    """
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    if method not in ("auto", "interval", "exact"):
+        raise ValueError(f"unknown orbit method {method!r}")
+    seed = _coerce_seed(x0)
+    lo0, hi0, seed_exact = _seed_bounds(seed)
+    _check_seed_range(lo0, hi0)
+    b_exact = b.exact_value()
+    out_bits = math.ceil(digits_required * math.log2(10)) + 4
+
+    exact_possible = b_exact is not None and seed_exact is not None
+    if exact_possible and isinstance(seed_exact, Quadratic):
+        exact_possible = isinstance(b_exact, Quadratic) and b_exact.d == seed_exact.d
+    if method == "exact" or (method == "auto" and exact_possible and n_steps <= exact_cutoff):
+        if not exact_possible:
+            raise ValueError("exact orbit path needs an exact base and seed")
+        points, digits = _exact_orbit(b_exact, seed_exact, n_steps, out_bits)
+        return None, points, digits, 0
+
+    log2b_up = b.log2_upper()
+    if budget is None:
+        budget = PrecisionBudget.for_orbit(log2b_up, n_steps, digits_required)
+    bits = budget.initial_bits
+    while True:
+        try:
+            triples, digits = _interval_orbit_attempt(
+                b, lo0, hi0, n_steps, bits, out_bits, log2b_up, bits - budget.initial_bits
+            )
+            if _width_ok(triples, digits_required):
+                return triples, None, digits, bits
+        except AmbiguousBranch:
+            if exact_possible and method != "interval":
+                points, digits = _exact_orbit(b_exact, seed_exact, n_steps, out_bits)
+                return None, points, digits, 0
+        bits *= 2
+        if bits > budget.max_bits:
+            raise PrecisionExhausted(
+                f"orbit needs more than {budget.max_bits} bits "
+                "(seed suspiciously close to a preimage of a branch cut?)"
+            )
+
+
 def orbit_with_digits(
     b: BetaNumber,
     x0: object,
@@ -448,46 +630,12 @@ def orbit_with_digits(
     doubled precision on ambiguity); "exact" requires an exact backing.
     Returns (points, digits, bits_used); bits_used is 0 on the exact path.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    if method not in ("auto", "interval", "exact"):
-        raise ValueError(f"unknown orbit method {method!r}")
-    seed = _coerce_seed(x0)
-    lo0, hi0, seed_exact = _seed_bounds(seed)
-    _check_seed_range(lo0, hi0)
-    b_exact = b.exact_value()
-    out_bits = math.ceil(digits_required * math.log2(10)) + 4
-
-    exact_possible = b_exact is not None and seed_exact is not None
-    if exact_possible and isinstance(seed_exact, Quadratic):
-        exact_possible = isinstance(b_exact, Quadratic) and b_exact.d == seed_exact.d
-    if method == "exact" or (method == "auto" and exact_possible and n_steps <= _EXACT_PATH_CUTOFF):
-        if not exact_possible:
-            raise ValueError("exact orbit path needs an exact base and seed")
-        points, digits = _exact_orbit(b_exact, seed_exact, n_steps, out_bits)
-        return points, digits, 0
-
-    log2b_up = b.log2_upper()
-    if budget is None:
-        budget = PrecisionBudget.for_orbit(log2b_up, n_steps, digits_required)
-    bits = budget.initial_bits
-    while True:
-        try:
-            triples, digits = _interval_orbit_attempt(
-                b, lo0, hi0, n_steps, bits, out_bits, log2b_up
-            )
-            if _width_ok(triples, digits_required):
-                return _triples_to_enclosures(triples), digits, bits
-        except AmbiguousBranch:
-            if exact_possible and method != "interval":
-                points, digits = _exact_orbit(b_exact, seed_exact, n_steps, out_bits)
-                return points, digits, 0
-        bits *= 2
-        if bits > budget.max_bits:
-            raise PrecisionExhausted(
-                f"orbit needs more than {budget.max_bits} bits "
-                "(seed suspiciously close to a preimage of a branch cut?)"
-            )
+    triples, points, digits, bits = _certified_orbit(
+        b, x0, n_steps, digits_required, budget, method, _EXACT_PATH_CUTOFF
+    )
+    if points is None:
+        points = _triples_to_enclosures(triples)
+    return points, digits, bits
 
 
 def tb_orbit(
@@ -514,32 +662,9 @@ def tb_orbit_floats(
     Interval engine without Fraction wrapping; falls back to the exact path if
     a branch stays ambiguous and an exact backing exists.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    seed = _coerce_seed(x0)
-    lo0, hi0, seed_exact = _seed_bounds(seed)
-    _check_seed_range(lo0, hi0)
-    b_exact = b.exact_value()
-    exact_possible = b_exact is not None and seed_exact is not None
-    if exact_possible and isinstance(seed_exact, Quadratic):
-        exact_possible = isinstance(b_exact, Quadratic) and b_exact.d == seed_exact.d
-    log2b_up = b.log2_upper()
-    if budget is None:
-        budget = PrecisionBudget.for_orbit(log2b_up, n_steps, digits_required)
-    out_bits = math.ceil(digits_required * math.log2(10)) + 4
-    bits = budget.initial_bits
-    while True:
-        try:
-            triples, _ = _interval_orbit_attempt(b, lo0, hi0, n_steps, bits, out_bits, log2b_up)
-            if _width_ok(triples, digits_required):
-                return [_mid_float(lo, hi, s) for lo, hi, s in triples]
-        except AmbiguousBranch:
-            if exact_possible:
-                points, _ = _exact_orbit(b_exact, seed_exact, n_steps, out_bits)
-                return [float(p) for p in points]
-        bits *= 2
-        if bits > budget.max_bits:
-            raise PrecisionExhausted(
-                f"orbit needs more than {budget.max_bits} bits "
-                "(seed suspiciously close to a preimage of a branch cut?)"
-            )
+    triples, points, _, _ = _certified_orbit(
+        b, x0, n_steps, digits_required, budget, "auto", exact_cutoff=0
+    )
+    if triples is None:
+        return [float(p) for p in points]
+    return [_mid_float(lo, hi, s) for lo, hi, s in triples]

@@ -31,6 +31,7 @@ __all__ = [
     "lemma32_check",
     "wiener_atom_estimate",
     "invariance_defect",
+    "invariance_defects",
     "parry_distance",
     "empirical_fourier",
     "multiplicatively_independent",
@@ -461,20 +462,28 @@ def wiener_atom_estimate(coeffs) -> float:
     return float(np.mean(np.abs(arr) ** 2))
 
 
-def invariance_defect(series: WeylSeries, test_degree: int) -> float:
-    """max_m |E(e_m) - E(e_m o T)| over 1 <= m <= test_degree; the orbit
-    telescoping identity caps this at |e_m(x_0) - e_m(x_N)|/N <= 2/N."""
-    if test_degree < 1:
-        raise ValueError("test_degree must be >= 1")
+def invariance_defects(series: WeylSeries, max_degree: int) -> list[float]:
+    """invariance_defect(series, k) for k = 1..max_degree, as a running
+    maximum: each per-frequency defect |E(e_m) - E(e_m o T)| is computed once."""
+    if max_degree < 1:
+        raise ValueError("degree must be >= 1")
     n = series.n_final
     xs = series.orbit
     if len(xs) < n + 1:
         raise ValueError("series does not retain the shifted orbit")
+    out = []
     worst = 0.0
-    for m in range(1, test_degree + 1):
+    for m in range(1, max_degree + 1):
         em = np.exp(2j * math.pi * m * xs[: n + 1])
         worst = max(worst, abs(np.mean(em[:n]) - np.mean(em[1:])))
-    return float(worst)
+        out.append(float(worst))
+    return out
+
+
+def invariance_defect(series: WeylSeries, test_degree: int) -> float:
+    """max_m |E(e_m) - E(e_m o T)| over 1 <= m <= test_degree; the orbit
+    telescoping identity caps this at |e_m(x_0) - e_m(x_N)|/N <= 2/N."""
+    return invariance_defects(series, test_degree)[-1]
 
 
 def empirical_fourier(points: np.ndarray, m: int) -> complex:

@@ -183,7 +183,7 @@ def test_exit_precision_unresolvable_cut(tmp_path, capsys):
 
 def test_exit_violation_still_writes_manifest(tmp_path, monkeypatch, capsys):
     # the library's own bounds hold, so force a defect past the 2/N budget
-    monkeypatch.setattr(cli, "invariance_defect", lambda series, k: 1.0)
+    monkeypatch.setattr(cli, "invariance_defects", lambda series, k: [1.0] * k)
     d = str(tmp_path)
     rc = main(
         ["invariance", "--beta", "2", "--x", "1/3", "--N", "200",

@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from betalab import precision
 from betalab.exactnum import Quadratic
 from betalab.precision import (
     DescriptorError,
@@ -178,3 +181,80 @@ def test_random_rational_orbits_stay_in_range():
         pts, digs, _ = orbit_with_digits(b, x, 60, digits_required=10)
         assert all(Fraction(0) <= p.lo and p.hi < Fraction(101, 100) for p in pts)
         assert all(0 <= d < b.ceil_b for d in digs)
+
+
+def test_restarts_add_guard_bits():
+    # b*x = 1 + 2.2 * 2^-300: the first digit needs an enclosure narrower than
+    # 2^-299, which only a restart that really raises the working scale reaches
+    x = Fraction(5, 11) + Fraction(1, 2**300)
+    pts, digs, bits = orbit_with_digits(parse_beta("2.2"), x, 5)
+    assert digs == [1, 0, 0, 0, 0]
+    assert bits > PrecisionBudget.for_orbit(parse_beta("2.2").log2_upper(), 5, 12).initial_bits
+    _, exact = _exact_points(parse_beta("2.2"), x, 5)
+    assert all(_contains(p, e) for p, e in zip(pts, exact))
+
+
+# -- divide-and-conquer engine against the per-step loop --------------------------
+
+
+@st.composite
+def _bases(draw):
+    kind = draw(st.sampled_from(("rational", "quadratic", "decimal")))
+    if kind == "rational":
+        q = draw(st.integers(1, 12))
+        return f"{draw(st.integers(q + 1, 4 * q))}/{q}"
+    if kind == "decimal":
+        places = draw(st.integers(1, 6))
+        return f"{draw(st.integers(1, 3))}.{draw(st.integers(0, 10**places - 1)):0{places}d}"
+    u, v, w = draw(st.integers(0, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    sign, d = draw(st.sampled_from("+-")), draw(st.sampled_from((2, 3, 5, 13)))
+    return f"({u}{sign}{v}*sqrt{d})/{w}"
+
+
+def _parse_base_above_one(desc: str):
+    try:
+        return parse_beta(desc)
+    except DescriptorError:
+        assume(False)
+
+
+def _exact_points(b, x: Fraction, n: int):
+    """Exact orbit digits and values; decimal literals iterate their backing rational."""
+    value = b.exact_value() if b.exact_value() is not None else b._literal
+    pts, digs = precision._exact_orbit(value, x, n, 64)
+    return digs, [p.exact for p in pts]
+
+
+def _contains(p: Enclosure, value) -> bool:
+    if isinstance(value, Quadratic):
+        return value.cmp_rational(p.lo) >= 0 and value.cmp_rational(p.hi) <= 0
+    return p.lo <= value <= p.hi
+
+
+def _interval_orbit(b, x, n, base_steps):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(precision, "_BASE_STEPS", base_steps)
+        pts, digs, _ = orbit_with_digits(b, x, n, method="interval")
+        floats = tb_orbit_floats(b, x, n)
+    return pts, digs, floats
+
+
+@settings(max_examples=100)
+@given(
+    desc=_bases(),
+    q=st.integers(2, 10**6),
+    p_frac=st.floats(0, 1, exclude_max=True),
+    n=st.integers(1, 600),
+)
+def test_divide_and_conquer_matches_per_step_loop(desc, q, p_frac, n):
+    b = _parse_base_above_one(desc)
+    x = Fraction(int(p_frac * q), q)
+    exact_digits, exact = _exact_points(b, x, n)
+    # an orbit landing exactly on a cut has no interval certificate at any precision
+    assume(all(e != 0 for e in exact))
+    pts_dc, digs_dc, fl_dc = _interval_orbit(b, x, n, base_steps=2)
+    pts_loop, digs_loop, fl_loop = _interval_orbit(b, x, n, base_steps=10**9)
+    assert digs_dc == digs_loop == exact_digits
+    assert all(_contains(p, e) for p, e in zip(pts_dc, exact))
+    assert all(_contains(p, e) for p, e in zip(pts_loop, exact))
+    assert all(abs(a - c) <= 2**-50 for a, c in zip(fl_dc, fl_loop))
