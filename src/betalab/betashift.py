@@ -19,7 +19,6 @@ from .exactnum import Quadratic
 from .precision import (
     BetaNumber,
     Enclosure,
-    PrecisionBudget,
     UndeterminedValue,
     orbit_with_digits,
 )
@@ -82,38 +81,21 @@ class BExpansion:
         return format_digits(self.digits)
 
 
-def greedy_expansion(
-    b: BetaNumber,
-    x,
-    n_digits: int,
-    budget: PrecisionBudget | None = None,
-    method: str = "auto",
-) -> BExpansion:
+def greedy_expansion(b: BetaNumber, x, n_digits: int, method: str = "auto") -> BExpansion:
     """Greedy digits of x in [0, 1) with certified orbit enclosures."""
     if n_digits < 1:
         raise ValueError("need at least one digit")
-    if isinstance(x, Enclosure):
-        too_big = x.hi >= 1
-    elif isinstance(x, Quadratic):
-        too_big = x.cmp_rational(1) >= 0
-    else:
-        too_big = Fraction(x) >= 1
-    if too_big:
+    if (x.hi if isinstance(x, Enclosure) else x) >= 1:
         raise ValueError("greedy_expansion wants x < 1; use expansion_of_one for the seed 1")
-    points, digits, _ = orbit_with_digits(b, x, n_digits, budget=budget, method=method)
+    points, digits, _ = orbit_with_digits(b, x, n_digits, method=method)
     return BExpansion(b, tuple(digits), tuple(points), of_one=False)
 
 
-def expansion_of_one(
-    b: BetaNumber,
-    n_digits: int,
-    budget: PrecisionBudget | None = None,
-    method: str = "auto",
-) -> BExpansion:
+def expansion_of_one(b: BetaNumber, n_digits: int) -> BExpansion:
     """Expansion of 1: digits floor(b), floor(b*{b}), ... and orbit r_0 = {b}, r_1, ..."""
     if n_digits < 1:
         raise ValueError("need at least one digit")
-    points, digits, _ = orbit_with_digits(b, Fraction(1), n_digits, budget=budget, method=method)
+    points, digits, _ = orbit_with_digits(b, Fraction(1), n_digits)
     return BExpansion(b, tuple(digits), tuple(points), of_one=True)
 
 
@@ -121,12 +103,12 @@ def expansion_of_one(
 class NumberClass:
     """Classification evidence for a base.
 
-    Verdicts: Simple (orbit of 1 certifiedly hits 0), SimpleParry (digit word
-    purely periodic; unreachable under the strict greedy convention because no
-    orbit value can return to the seed 1, kept for interface completeness),
-    Parry (digit word eventually periodic, certified by an exact orbit-value
-    repeat; exact kinds only), SpecifiedWitness (every inspected orbit value
-    certified positive; depth-limited evidence, never a proof), Undetermined.
+    Verdicts: Simple (orbit of 1 certifiedly hits 0), Parry (digit word
+    eventually periodic, certified by an exact orbit-value repeat; exact kinds
+    only; never purely periodic under the strict greedy convention, because no
+    orbit value returns to the seed 1), SpecifiedWitness (every inspected orbit
+    value certified positive; depth-limited evidence, never a proof),
+    Undetermined.
     """
 
     verdict: str
@@ -169,13 +151,11 @@ def classify(b: BetaNumber, depth: int) -> NumberClass:
                 break
             if v in seen:
                 j = seen[v]
-                pre, per = j + 1, i - j
-                verdict = "SimpleParry" if pre == 0 else "Parry"
                 return NumberClass(
-                    verdict=verdict,
+                    verdict="Parry",
                     depth=depth,
                     hit_zero_at=None,
-                    period=(pre, per),
+                    period=(j + 1, i - j),
                     max_zero_run=_max_zero_run(exp.digits),
                     digits=exp.digits,
                 )

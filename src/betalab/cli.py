@@ -6,6 +6,10 @@ is enough to reproduce the artifact bytes.  Parallel sample loops merge in
 index order, so --workers does not change any output either, but replay
 guarantees are only claimed for --workers 1.
 
+Bases (--beta) and points (--x) share one descriptor grammar,
+`precision.parse_exact`; a descriptor it rejects, a zero denominator
+included, is a usage error.
+
 Exit codes: 0 success, 1 usage or domain error, 2 certified invariant
 violation (a bound the library promises was breached beyond its stated error
 budget), 3 precision exhaustion.
@@ -16,9 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
-import re
 import sys
 from fractions import Fraction
 
@@ -31,10 +33,7 @@ from .coding import (
     condition_violation_report,
     control_near_diagonal,
     estimate_near_diagonal,
-    fit_polynomial_envelope,
-    schedule_from_dict,
 )
-from .exactnum import Quadratic, squarefree_split
 from .parry import ParryDensity
 from .precision import (
     DescriptorError,
@@ -42,6 +41,7 @@ from .precision import (
     UndeterminedValue,
     orbit_with_digits,
     parse_beta,
+    parse_exact,
 )
 from .selfsimilar import (
     SelfSimilarMeasure,
@@ -61,7 +61,6 @@ from .sources import (
     source_to_dict,
 )
 from .weyl import (
-    PROXY_NOTE,
     invariance_defects,
     lemma32_check,
     mean_decay_profile,
@@ -69,8 +68,6 @@ from .weyl import (
     predicted_exponent,
     weyl_sums,
 )
-
-CACHE_ENV = "BETALAB_CACHE_DIR"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -95,45 +92,17 @@ class _Parser(argparse.ArgumentParser):
 
 # -- point descriptors -------------------------------------------------------
 
-_P_INT = re.compile(r"^\d+$")
-_P_RAT = re.compile(r"^(\d+)\s*/\s*(\d+)$")
-_P_DEC = re.compile(r"^\d+\.\d+$")
-_P_QUAD = re.compile(
-    r"^\(?\s*(?:(\d+(?:/\d+)?)\s*)?([+-])?\s*(?:(\d+(?:/\d+)?)\s*\*\s*)?"
-    r"sqrt\s*\(?\s*(\d+)\s*\)?\s*\)?\s*(?:/\s*(\d+))?$"
-)
-
 
 def parse_point(text: str):
-    """Exact orbit seed in [0, 1): INT | p/q | decimal | (u+-v*sqrtD)/w.
+    """Exact orbit seed in [0, 1), in the grammar of `precision.parse_exact`.
 
     Decimal literals are taken at face value (exact fractions), never rounded:
     a seed is data, not a precision request.
     """
-    s = text.strip()
-    val = None
-    if _P_INT.match(s):
-        val = Fraction(int(s))
-    elif m := _P_RAT.match(s):
-        val = Fraction(int(m.group(1)), int(m.group(2)))
-    elif _P_DEC.match(s):
-        val = Fraction(s)
-    elif m := _P_QUAD.match(s):
-        u = Fraction(m.group(1)) if m.group(1) else Fraction(0)
-        sign = -1 if m.group(2) == "-" else 1
-        v = Fraction(m.group(3)) if m.group(3) else Fraction(1)
-        w = Fraction(m.group(5)) if m.group(5) else Fraction(1)
-        sq, d0 = squarefree_split(int(m.group(4)))
-        v = sign * v * sq
-        if d0 <= 1:
-            val = (u + v * d0) / w if d0 == 1 else u / w
-        else:
-            q = Quadratic(u / w, v / w, d0)
-            if q.cmp_rational(0) < 0 or q.cmp_rational(1) >= 0:
-                raise UsageError(f"point {text!r} outside [0, 1)")
-            return q
-    if val is None:
-        raise UsageError(f"cannot parse point descriptor {text!r}")
+    try:
+        val = parse_exact(text)
+    except DescriptorError as exc:
+        raise UsageError(str(exc)) from None
     if not 0 <= val < 1:
         raise UsageError(f"point {text!r} outside [0, 1)")
     return val
@@ -563,26 +532,9 @@ def cmd_selfsim(args, ws: Workspace) -> int:
     return EXIT_OK
 
 
-def _cached_schedule(l: int, epsilon: Fraction, K: int):
-    cache_dir = os.environ.get(CACHE_ENV)
-    if not cache_dir:
-        return build_schedule(l, epsilon, K)
-    key = f"schedule_l{l}_e{epsilon.numerator}-{epsilon.denominator}_K{K}.json"
-    path = os.path.join(cache_dir, key)
-    if os.path.exists(path):
-        with open(path) as fh:
-            return schedule_from_dict(json.load(fh))
-    params = build_schedule(l, epsilon, K)
-    os.makedirs(cache_dir, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(params.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return params
-
-
 def cmd_counterexample(args, ws: Workspace) -> int:
     eps = Fraction(args.epsilon)
-    params = _cached_schedule(args.l, eps, args.K)
+    params = build_schedule(args.l, eps, args.K)
     proc = CodedProcess(params, W=args.window or None)
     estimates = [
         estimate_near_diagonal(

@@ -2,8 +2,9 @@
 
 Everything here is certified arithmetic over Q or a real quadratic field
 Q(sqrt(d)): outward dyadic rounding, enclosures of sqrt and ln, and a small
-exact type for numbers of the form u + v*sqrt(d).  No floats enter any bound;
-floats only appear as convenience output.
+exact type for numbers of the form u + v*sqrt(d) that compares with rationals
+and with its own field, floors and multiplies as a Fraction does.  No floats
+enter any bound; floats only appear as convenience output.
 """
 
 from __future__ import annotations
@@ -212,6 +213,30 @@ class Quadratic:
             return self.v == 0 and self.u == other
         return NotImplemented
 
+    def _sign_of_difference(self, other: object) -> int | None:
+        """Sign of (self - other) for a rational or same-field other, else None."""
+        if isinstance(other, Quadratic):
+            return (self - other).cmp_rational(0)
+        if isinstance(other, (int, Fraction)):
+            return self.cmp_rational(other)
+        return None
+
+    def __lt__(self, other: object) -> bool:
+        c = self._sign_of_difference(other)
+        return NotImplemented if c is None else c < 0
+
+    def __le__(self, other: object) -> bool:
+        c = self._sign_of_difference(other)
+        return NotImplemented if c is None else c <= 0
+
+    def __gt__(self, other: object) -> bool:
+        c = self._sign_of_difference(other)
+        return NotImplemented if c is None else c > 0
+
+    def __ge__(self, other: object) -> bool:
+        c = self._sign_of_difference(other)
+        return NotImplemented if c is None else c >= 0
+
     def __hash__(self) -> int:
         if self.v == 0:
             return hash(self.u)
@@ -245,6 +270,9 @@ class Quadratic:
         while self.cmp_rational(n) < 0:
             n -= 1
         return n
+
+    def __floor__(self) -> int:
+        return self.floor()
 
     def __float__(self) -> float:
         lo, hi = self.bounds(64)

@@ -18,7 +18,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactnum import Quadratic
 from .precision import (
     BetaNumber,
     Enclosure,
@@ -50,9 +49,6 @@ def _cmp_point(x: Fraction, r: Enclosure) -> int:
     if x >= r.hi:
         return 1
     if r.exact is not None:
-        if isinstance(r.exact, Quadratic):
-            c = r.exact.cmp_rational(x)
-            return -1 if c > 0 else 1  # x >= r when r <= x
         return -1 if x < r.exact else 1
     return 0
 

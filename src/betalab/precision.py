@@ -8,6 +8,11 @@ right-continuous branch, so T(x) = 0 with digit floor(b*x)).  Decimal-literal
 bases carry no exact certificates, so persistent ambiguity there raises instead
 of silently guessing.
 
+Exact numbers have one grammar, `parse_exact`, used for bases and points
+alike; `parse_beta` adds decimal-literal bases ("@bits" precision requests) and
+the check b > 1.  A `Quadratic` compares, floors and multiplies as a `Fraction`
+does, so exact values need no per-type branches.
+
 The interval engine treats greedy digits as a radix conversion and divides and
 conquers (Brent & Zimmermann, Modern Computer Arithmetic, 2010, sec. 1.7): it
 runs the first half of the steps on the top bits of the enclosure only, jumps
@@ -66,12 +71,8 @@ class Enclosure:
     def __post_init__(self) -> None:
         if self.lo > self.hi:
             raise ValueError("empty enclosure")
-        if isinstance(self.exact, Quadratic):
-            if self.exact.cmp_rational(self.lo) < 0 or self.exact.cmp_rational(self.hi) > 0:
-                raise ValueError("exact value escapes enclosure")
-        elif self.exact is not None:
-            if not self.lo <= self.exact <= self.hi:
-                raise ValueError("exact value escapes enclosure")
+        if self.exact is not None and not self.lo <= self.exact <= self.hi:
+            raise ValueError("exact value escapes enclosure")
 
     @property
     def width(self) -> Fraction:
@@ -85,19 +86,11 @@ class Enclosure:
 
     def is_certified_zero(self) -> bool:
         if self.exact is not None:
-            if isinstance(self.exact, Quadratic):
-                return self.exact.is_zero()
             return self.exact == 0
         return self.lo == 0 and self.hi == 0
 
     def certified_positive(self) -> bool:
-        if self.lo > 0:
-            return True
-        if isinstance(self.exact, Quadratic):
-            return self.exact.cmp_rational(0) > 0
-        if self.exact is not None:
-            return self.exact > 0
-        return False
+        return self.lo > 0 or (self.exact is not None and self.exact > 0)
 
 
 @dataclass(frozen=True)
@@ -174,6 +167,8 @@ class BetaNumber:
         return self.descriptor
 
 
+# One grammar for exact numbers, shared by bases and points.  A decimal
+# literal may carry an "@bits" precision request only as a base.
 _INT_RE = re.compile(r"^[+]?\d+$")
 _RAT_RE = re.compile(r"^(\d+)\s*/\s*(\d+)$")
 _DEC_RE = re.compile(r"^(\d+\.\d+)(?:@(\d+))?$")
@@ -185,89 +180,67 @@ _QUAD_RE = re.compile(
 DEFAULT_DECIMAL_BITS = 256
 
 
-def _build_rational(value: Fraction, descriptor: str, bits: int) -> BetaNumber:
-    lo, hi = round_down(value, bits), round_up(value, bits)
-    fb = value.numerator // value.denominator
-    cb = -((-value.numerator) // value.denominator)
-    return BetaNumber("rational", descriptor, bits, lo, hi, fb, cb, _rational=value)
+def parse_exact(text: str) -> ExactValue:
+    """Parse an exact number: INT (optional "+") | "p/q" | decimal literal,
+    taken at face value | "(u+v*sqrtD)/w" (parentheses, u, v and w optional).
 
-def _build_quadratic(q: Quadratic, descriptor: str, bits: int) -> BetaNumber:
-    lo, hi = q.bounds(bits)
-    fb = q.floor()
-    return BetaNumber("quadratic", descriptor, bits, lo, hi, fb, fb + 1, _quad=q)
-
-def _build_bigfloat(value: Fraction, descriptor: str, bits: int) -> BetaNumber:
-    lo, hi = round_down(value, bits), round_up(value, bits)
-    flo = lo.numerator // lo.denominator
-    fhi = hi.numerator // hi.denominator
-    if flo != fhi:
-        raise DescriptorError(f"enclosure of {descriptor!r} straddles an integer at {bits} bits")
-    cb = flo if lo == hi and lo == flo else flo + 1
-    return BetaNumber("bigfloat", descriptor, bits, lo, hi, flo, cb, _literal=value)
-
-
-def parse_beta(text: str, default_bits: int = DEFAULT_DECIMAL_BITS) -> BetaNumber:
-    """Parse a base descriptor.
-
-    Grammar: INT | "p/q" | "(u+v*sqrtD)/w" (parentheses, v and w optional)
-    | decimal literal with optional "@bits" precision request.  The value must
-    exceed 1.
+    sqrt(D) is split into s*sqrt(d0) with d0 squarefree, so a square D gives a
+    rational.  A zero denominator is a DescriptorError.
     """
     s = text.strip()
-    if m := _INT_RE.match(s):
-        val = Fraction(int(s))
-        if val <= 1:
-            raise DescriptorError(f"base must exceed 1, got {s!r}")
-        return _build_rational(val, s, default_bits)
-    if m := _RAT_RE.match(s):
-        val = Fraction(int(m.group(1)), int(m.group(2)))
-        if val <= 1:
-            raise DescriptorError(f"base must exceed 1, got {s!r}")
-        return _build_rational(val, s, default_bits)
-    if m := _DEC_RE.match(s):
-        val = Fraction(m.group(1))
-        bits = int(m.group(2)) if m.group(2) else default_bits
+    try:
+        if _INT_RE.match(s):
+            return Fraction(int(s))
+        if m := _RAT_RE.match(s):
+            return Fraction(int(m.group(1)), int(m.group(2)))
+        if (m := _DEC_RE.match(s)) and not m.group(2):
+            return Fraction(m.group(1))
+        if m := _QUAD_RE.match(s):
+            u = Fraction(m.group(1) or 0)
+            sign = -1 if m.group(2) == "-" else 1
+            v = Fraction(m.group(3) or 1)
+            w = Fraction(m.group(5) or 1)
+            sq, d0 = squarefree_split(int(m.group(4)))
+            v = sign * v * sq
+            if d0 <= 1:
+                return (u + v * d0) / w
+            return Quadratic(u / w, v / w, d0)
+    except ZeroDivisionError:
+        raise DescriptorError(f"zero denominator in {text!r}") from None
+    raise DescriptorError(f"cannot parse descriptor {text!r}")
+
+
+def parse_beta(text: str) -> BetaNumber:
+    """Parse a base descriptor: the parse_exact grammar, where a decimal
+    literal becomes a "bigfloat" base held at DEFAULT_DECIMAL_BITS or at an
+    "@bits" precision request.  The value must exceed 1.
+    """
+    s = text.strip()
+    literal = _DEC_RE.match(s)
+    value = Fraction(literal.group(1)) if literal else parse_exact(s)
+    if value <= 1:
+        raise DescriptorError(f"base must exceed 1, got {s!r}")
+    bits = DEFAULT_DECIMAL_BITS
+    if literal:
+        bits = int(literal.group(2) or bits)
         if bits < 4:
             raise DescriptorError("precision request below 4 bits")
-        if val <= 1:
-            raise DescriptorError(f"base must exceed 1, got {s!r}")
-        return _build_bigfloat(val, s, bits)
-    if m := _QUAD_RE.match(s):
-        u = Fraction(m.group(1)) if m.group(1) else Fraction(0)
-        sign = -1 if m.group(2) == "-" else 1
-        v = Fraction(m.group(3)) if m.group(3) else Fraction(1)
-        d = int(m.group(4))
-        w = Fraction(m.group(5)) if m.group(5) else Fraction(1)
-        sq, d0 = squarefree_split(d)
-        v = sign * v * sq
-        if d0 <= 1:
-            val = (u + v * d0) / w if d0 == 1 else u / w
-            if val <= 1:
-                raise DescriptorError(f"base must exceed 1, got {s!r}")
-            return _build_rational(val, s, default_bits)
-        q = Quadratic(u / w, v / w, d0)
-        if q.cmp_rational(1) <= 0:
-            raise DescriptorError(f"base must exceed 1, got {s!r}")
-        return _build_quadratic(q, s, default_bits)
-    raise DescriptorError(f"cannot parse base descriptor {text!r}")
+        lo, hi = round_down(value, bits), round_up(value, bits)
+        flo = math.floor(lo)
+        if flo != math.floor(hi):
+            raise DescriptorError(f"enclosure of {s!r} straddles an integer at {bits} bits")
+        cb = flo if lo == hi == flo else flo + 1
+        return BetaNumber("bigfloat", s, bits, lo, hi, flo, cb, _literal=value)
+    fb = math.floor(value)
+    if isinstance(value, Quadratic):
+        lo, hi = value.bounds(bits)
+        return BetaNumber("quadratic", s, bits, lo, hi, fb, fb + 1, _quad=value)
+    lo, hi = round_down(value, bits), round_up(value, bits)
+    return BetaNumber("rational", s, bits, lo, hi, fb, math.ceil(value), _rational=value)
 
 
 # ---------------------------------------------------------------------------
 # single certified step
-
-
-def _exact_floor(y: ExactValue) -> int:
-    if isinstance(y, Quadratic):
-        return y.floor()
-    return y.numerator // y.denominator
-
-
-def _exact_mul(a: ExactValue, x: ExactValue) -> ExactValue:
-    if isinstance(a, Quadratic):
-        return a * x
-    if isinstance(x, Quadratic):
-        return x * a
-    return a * x
 
 
 def tb_apply(b: BetaNumber, x: Enclosure) -> tuple[Enclosure, int]:
@@ -284,11 +257,11 @@ def tb_apply(b: BetaNumber, x: Enclosure) -> tuple[Enclosure, int]:
     b_exact = b.exact_value()
     y_exact: ExactValue | None = None
     if b_exact is not None and x.exact is not None:
-        y_exact = _exact_mul(b_exact, x.exact)
+        y_exact = b_exact * x.exact
     k_lo = y_lo.numerator // y_lo.denominator
     k_hi = y_hi.numerator // y_hi.denominator
     if y_exact is not None:
-        k = _exact_floor(y_exact)
+        k = math.floor(y_exact)
         frac_exact = y_exact - k
         lo = max(y_lo - k, Fraction(0))
         hi = min(y_hi - k, Fraction(1))
@@ -310,13 +283,9 @@ _EXACT_PATH_CUTOFF = 5000
 
 
 def _coerce_seed(x0: object) -> ExactValue | Enclosure:
-    if isinstance(x0, Enclosure):
+    if isinstance(x0, (Enclosure, Quadratic)):
         return x0
-    if isinstance(x0, Quadratic):
-        return x0
-    if isinstance(x0, float):
-        return Fraction(x0)
-    if isinstance(x0, (int, Fraction)):
+    if isinstance(x0, (int, float, Fraction)):
         return Fraction(x0)
     raise TypeError(f"unsupported orbit seed {type(x0).__name__}")
 
@@ -338,27 +307,21 @@ def _check_seed_range(lo: Fraction, hi: Fraction) -> None:
 def _exact_orbit(
     b_val: ExactValue, seed: ExactValue, n_steps: int, out_bits: int
 ) -> tuple[list[Enclosure], list[int]]:
-    if isinstance(b_val, Quadratic) and isinstance(seed, Fraction):
-        seed = Quadratic(seed, Fraction(0), b_val.d)
     points: list[Enclosure] = []
     digits: list[int] = []
     x = seed
     for _ in range(n_steps):
-        y = _exact_mul(b_val, x)
-        k = _exact_floor(y)
+        y = b_val * x
+        k = math.floor(y)
         x = y - k
         digits.append(k)
+        if isinstance(x, Quadratic) and x.v == 0:
+            x = x.u  # fall back to plain rationals once the sqrt part cancels
         if isinstance(x, Quadratic):
-            if x.v == 0:
-                x = x.u  # fall back to plain rationals once the sqrt part cancels
-                lo, hi = round_down(x, out_bits), round_up(x, out_bits)
-                points.append(Enclosure(lo, hi, exact=x))
-            else:
-                lo, hi = x.bounds(out_bits)
-                points.append(Enclosure(lo, hi, exact=x))
+            lo, hi = x.bounds(out_bits)
         else:
             lo, hi = round_down(x, out_bits), round_up(x, out_bits)
-            points.append(Enclosure(lo, hi, exact=x))
+        points.append(Enclosure(lo, hi, exact=x))
     return points, digits
 
 
@@ -561,7 +524,6 @@ def _certified_orbit(
     x0: object,
     n_steps: int,
     digits_required: int,
-    budget: PrecisionBudget | None,
     method: str,
     exact_cutoff: int,
 ) -> tuple[list[tuple[int, int, int]] | None, list[Enclosure] | None, list[int], int]:
@@ -593,8 +555,7 @@ def _certified_orbit(
         return None, points, digits, 0
 
     log2b_up = b.log2_upper()
-    if budget is None:
-        budget = PrecisionBudget.for_orbit(log2b_up, n_steps, digits_required)
+    budget = PrecisionBudget.for_orbit(log2b_up, n_steps, digits_required)
     bits = budget.initial_bits
     while True:
         try:
@@ -620,7 +581,6 @@ def orbit_with_digits(
     x0: object,
     n_steps: int,
     digits_required: int = 12,
-    budget: PrecisionBudget | None = None,
     method: str = "auto",
 ) -> tuple[list[Enclosure], list[int], int]:
     """Certified orbit T(x0), T^2(x0), ..., T^n(x0) with digits floor(b*T^i x0).
@@ -631,7 +591,7 @@ def orbit_with_digits(
     Returns (points, digits, bits_used); bits_used is 0 on the exact path.
     """
     triples, points, digits, bits = _certified_orbit(
-        b, x0, n_steps, digits_required, budget, method, _EXACT_PATH_CUTOFF
+        b, x0, n_steps, digits_required, method, _EXACT_PATH_CUTOFF
     )
     if points is None:
         points = _triples_to_enclosures(triples)
@@ -643,10 +603,9 @@ def tb_orbit(
     x0: object,
     n_steps: int,
     digits_required: int = 12,
-    budget: PrecisionBudget | None = None,
     method: str = "auto",
 ) -> list[Enclosure]:
-    points, _, _ = orbit_with_digits(b, x0, n_steps, digits_required, budget, method)
+    points, _, _ = orbit_with_digits(b, x0, n_steps, digits_required, method)
     return points
 
 
@@ -655,7 +614,6 @@ def tb_orbit_floats(
     x0: object,
     n_steps: int,
     digits_required: int = 9,
-    budget: PrecisionBudget | None = None,
 ) -> list[float]:
     """Orbit midpoints as floats (certified to ~10^-digits_required each).
 
@@ -663,7 +621,7 @@ def tb_orbit_floats(
     a branch stays ambiguous and an exact backing exists.
     """
     triples, points, _, _ = _certified_orbit(
-        b, x0, n_steps, digits_required, budget, "auto", exact_cutoff=0
+        b, x0, n_steps, digits_required, "auto", exact_cutoff=0
     )
     if triples is None:
         return [float(p) for p in points]

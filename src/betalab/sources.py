@@ -39,12 +39,6 @@ __all__ = [
 Context = tuple[int, ...]
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
-
-
 class MarkovSource:
     """Order-n chain on {0, ..., a-1}; order 0 is i.i.d. (one empty context)."""
 
@@ -54,7 +48,7 @@ class MarkovSource:
         if order < 0:
             raise ValueError("order must be >= 0")
         n_contexts = alphabet_size**order
-        rows = [tuple(_as_fraction(p) for p in row) for row in rows]
+        rows = [tuple(Fraction(p) for p in row) for row in rows]
         if len(rows) != n_contexts:
             raise ValueError(f"expected {n_contexts} transition rows, got {len(rows)}")
         for row in rows:
@@ -80,13 +74,6 @@ class MarkovSource:
             idx = idx * self.a + s
         return idx
 
-    def context_word(self, idx: int) -> Context:
-        w = []
-        for _ in range(self.order):
-            w.append(idx % self.a)
-            idx //= self.a
-        return tuple(reversed(w))
-
     def roll(self, idx: int, symbol: int) -> int:
         """Context index after emitting `symbol`."""
         if self.order == 0:
@@ -99,9 +86,6 @@ class MarkovSource:
     @property
     def n_contexts(self) -> int:
         return self.a**self.order
-
-    def max_entry(self) -> Fraction:
-        return max(max(row) for row in self.rows)
 
     def __repr__(self) -> str:
         return f"MarkovSource(a={self.a}, order={self.order})"

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -38,6 +37,9 @@ __all__ = [
 ]
 
 MAX_FREQUENCY = 1 << 20
+# a sample cloud with one value carrying more than this share of the mass is
+# treated as atomic, and lemma32_check refuses it
+ATOM_SHARE_LIMIT = 0.05
 PROXY_NOTE = "max |S_N'(m)| over tail checkpoints {N/4, N/2, N}"
 
 
@@ -391,7 +393,6 @@ def lemma32_check(
     quad_nodes: int = 256,
     cloud_size: int = 20000,
     seed: int = 0,
-    atom_share_limit: float = 0.05,
 ) -> Lemma32Result:
     """Oscillatory-average inequality check:
 
@@ -428,7 +429,7 @@ def lemma32_check(
         if n_total < 10_000:
             raise ValueError("sample cloud needs >= 10^4 points")
         _, counts = np.unique(cloud, return_counts=True)
-        if counts.max() / n_total > atom_share_limit:
+        if counts.max() / n_total > ATOM_SHARE_LIMIT:
             raise ValueError(
                 f"cloud looks atomic: one value carries {counts.max() / n_total:.1%} of the mass"
             )

@@ -1,4 +1,4 @@
-"""Front-end checks: exit codes, artifact shapes, manifest replay, caching.
+"""Front-end checks: exit codes, artifact shapes, manifest replay.
 
 Library numerics are covered by the module tests; here we only pin the
 plumbing contract (descriptor parsing, JSON/CSV layout, determinism).
@@ -10,10 +10,13 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import betalab.cli as cli
 from betalab.cli import UsageError, main, parse_point
 from betalab.exactnum import Quadratic
+from betalab.precision import parse_exact
 
 
 def _json(d, name):
@@ -55,9 +58,31 @@ def test_parse_point_exact_forms():
 
 
 def test_parse_point_rejections():
-    for bad in ("1", "7/5", "(3+sqrt5)/2", "-1/2", "abc", "0.5@8", ""):
+    for bad in ("1", "7/5", "(3+sqrt5)/2", "-1/2", "abc", "0.5@8", "", "1/0", "sqrt2/0"):
         with pytest.raises(UsageError):
             parse_point(bad)
+
+
+descriptors = st.one_of(
+    st.integers(0, 3).map(str),
+    st.integers(0, 3).map(lambda n: f"+{n}"),
+    st.tuples(st.integers(0, 30), st.integers(1, 30)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.tuples(st.integers(0, 2), st.integers(0, 999)).map(lambda t: f"{t[0]}.{t[1]}"),
+    st.tuples(
+        st.integers(0, 9), st.sampled_from("+-"), st.integers(1, 9), st.integers(2, 20),
+        st.integers(1, 30),
+    ).map(lambda t: f"({t[0]}{t[1]}{t[2]}*sqrt{t[3]})/{t[4]}"),
+)
+
+
+@given(descriptors)
+def test_parse_point_is_parse_exact_on_the_unit_interval(text):
+    value = parse_exact(text)
+    if 0 <= value < 1:
+        assert parse_point(text) == value
+    else:
+        with pytest.raises(UsageError):
+            parse_point(text)
 
 
 # -- golden paths ----------------------------------------------------------------
@@ -165,6 +190,7 @@ def test_exit_usage(tmp_path, capsys):
     assert main([]) == 1
     assert main(["expand", "--beta", "2", "--x", "abc", "--out", d]) == 1
     assert main(["decay", "--beta", "2", "--out", d]) == 1  # neither --iid nor --source
+    assert main(["orbit", "--beta", "1/0", "--x", "1/3", "--out", d]) == 1  # zero denominator
     # outside the closed-form regime: a domain error, not a crash
     assert main(["exponent", "--alpha", "2", "--beta", "2", "--grid", "0", "--out", d]) == 1
     capsys.readouterr()
@@ -223,20 +249,3 @@ def test_replay_byte_identical(tmp_path):
     assert main(args + ["--out", d2]) == 0
     for name in ("weyl.json", "weyl.csv", "weyl_manifest.json"):
         assert _bytes(d1, name) == _bytes(d2, name)
-
-
-def test_schedule_cache_round_trip(tmp_path, monkeypatch):
-    cache = tmp_path / "cache"
-    monkeypatch.setenv(cli.CACHE_ENV, str(cache))
-    args = ["counterexample", "--l", "3", "--epsilon", "1/4", "--K", "1",
-            "--pairs", "2000", "--skip-control", "--seed", "1"]
-    d1, d2 = str(tmp_path / "a"), str(tmp_path / "b")
-    assert main(args + ["--out", d1]) == 0
-    key = cache / "schedule_l3_e1-4_K1.json"
-    assert key.exists()
-    # second run must come from the cache: poison the builder to prove it
-    def boom(*a, **k):
-        raise AssertionError("cache miss")
-    monkeypatch.setattr(cli, "build_schedule", boom)
-    assert main(args + ["--out", d2]) == 0
-    assert _bytes(d1, "counterexample.json") == _bytes(d2, "counterexample.json")

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from betalab.exactnum import (
     Quadratic,
@@ -149,3 +151,60 @@ def test_mixed_fields_refuse_to_combine():
         Quadratic(0, 1, 2) + Quadratic(0, 1, 3)
     with pytest.raises(ValueError):
         Quadratic(1, 1, 1)  # d must exceed 1
+
+
+# -- order structure against sqrt_bounds, by property --------------------------
+
+rationals = st.fractions(min_value=-30, max_value=30, max_denominator=40)
+quadratics = st.builds(
+    Quadratic,
+    rationals,
+    rationals.filter(lambda v: v != 0),
+    st.sampled_from([2, 3, 5, 13]),
+)
+
+
+def _sign_by_enclosure(u: Fraction, v: Fraction, d: int) -> int:
+    """Sign of u + v*sqrt(d) from sqrt_bounds alone, refined until it is clear."""
+    if v == 0:
+        return (u > 0) - (u < 0)
+    bits = 8
+    while True:
+        lo, hi = sqrt_bounds(d, bits)
+        ends = (u + v * lo, u + v * hi)
+        if min(ends) > 0:
+            return 1
+        if max(ends) < 0:
+            return -1
+        bits *= 2
+
+
+@given(quadratics, rationals)
+def test_order_against_rationals_agrees_with_enclosure(q, r):
+    sign = _sign_by_enclosure(q.u - r, q.v, q.d)
+    assert q.cmp_rational(r) == sign
+    assert (q < r) == (sign < 0) == (r > q)
+    assert (r < q) == (sign > 0) == (q > r)
+    assert (q <= r) == (sign <= 0) == (r >= q)
+    assert (q >= r) == (sign >= 0) == (r <= q)
+    n = math.floor(q)
+    assert _sign_by_enclosure(q.u - n, q.v, q.d) >= 0
+    assert _sign_by_enclosure(q.u - n - 1, q.v, q.d) < 0
+    assert n == q.floor()
+
+
+@given(quadratics, rationals, rationals)
+def test_same_field_order_agrees_with_enclosure(q1, du, dv):
+    q2 = Quadratic(q1.u + du, q1.v + dv, q1.d)
+    sign = _sign_by_enclosure(q1.u - q2.u, q1.v - q2.v, q1.d)
+    assert (q1 - q2).cmp_rational(0) == sign
+    assert (q1 < q2) == (sign < 0) == (q2 > q1)
+    assert (q1 <= q2) == (sign <= 0) == (q2 >= q1)
+    assert (q1 >= q2) == (sign >= 0)
+
+
+def test_order_refuses_mixed_fields_and_floats():
+    with pytest.raises(ValueError):
+        Quadratic(0, 1, 2) < Quadratic(0, 1, 3)
+    with pytest.raises(TypeError):
+        Quadratic(0, 1, 2) < 1.5

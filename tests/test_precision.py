@@ -15,6 +15,7 @@ from betalab.precision import (
     PrecisionExhausted,
     orbit_with_digits,
     parse_beta,
+    parse_exact,
     tb_apply,
     tb_orbit,
     tb_orbit_floats,
@@ -57,11 +58,32 @@ def test_parse_quadratic_forms():
 
 
 def test_parse_rejects_bad_descriptors():
-    for bad in ("1", "1/2", "0.5", "abc", "(1+sqrt5)/5", "sqrt(-4)", ""):
+    for bad in ("1", "1/2", "0.5", "abc", "(1+sqrt5)/5", "sqrt(-4)", "", "1/0", "(1+sqrt5)/0"):
         with pytest.raises(DescriptorError):
             parse_beta(bad)
     with pytest.raises(DescriptorError):
         parse_beta("2.5@2")  # precision request below 4 bits
+
+
+@given(
+    st.integers(0, 40),
+    st.sampled_from("+-"),
+    st.integers(1, 40),
+    st.integers(1, 6),
+    st.sampled_from([1, 2, 3, 5, 13]),
+    st.integers(1, 40),
+)
+def test_parse_exact_quadratic_round_trip(u, sign, v, s, d0, w):
+    # sqrt(s^2 * d0) = s * sqrt(d0); d0 = 1 makes the radicand a square
+    text = f"({u}{sign}{v}*sqrt{s * s * d0})/{w}"
+    coeff = Fraction(v * s, w) * (-1 if sign == "-" else 1)
+    if d0 == 1:
+        expected = Fraction(u, w) + coeff
+    else:
+        expected = Quadratic(Fraction(u, w), coeff, d0)
+    got = parse_exact(text)
+    assert got == expected
+    assert type(got) is type(expected)
 
 
 # -- single map application ----------------------------------------------------
