@@ -36,7 +36,6 @@ __all__ = [
     "specification_constants",
     "SpecConstants",
     "format_digits",
-    "parse_digits",
 ]
 
 
@@ -46,15 +45,6 @@ def format_digits(digits) -> str:
     if all(0 <= d <= 9 for d in ds):
         return "".join(str(d) for d in ds)
     return ",".join(str(d) for d in ds)
-
-
-def parse_digits(text: str) -> tuple[int, ...]:
-    s = text.strip()
-    if not s:
-        return ()
-    if "," in s:
-        return tuple(int(tok) for tok in s.split(","))
-    return tuple(int(ch) for ch in s)
 
 
 @dataclass(frozen=True)

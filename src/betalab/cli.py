@@ -164,15 +164,15 @@ class Workspace:
     def _path(self, name: str) -> str:
         return os.path.join(self.dir, name)
 
-    def write_json(self, payload: dict, name: str | None = None) -> None:
-        name = name or f"{self.command}.json"
+    def write_json(self, payload: dict) -> None:
+        name = f"{self.command}.json"
         with open(self._path(name), "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
             fh.write("\n")
         self.outputs.append(name)
 
-    def write_csv(self, header, rows, name: str | None = None) -> None:
-        name = name or f"{self.command}.csv"
+    def write_csv(self, header, rows) -> None:
+        name = f"{self.command}.csv"
         with open(self._path(name), "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(header)
@@ -416,8 +416,7 @@ def cmd_lemma32(args, ws: Workspace) -> int:
                 cloud_size=args.cloud,
                 seed=args.seed,
             )
-            budget = res.quad_error + res.mc_error
-            bad = res.slack < -budget
+            bad = res.slack < -res.quad_error
             violations += bad
             configs.append(
                 {

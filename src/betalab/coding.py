@@ -26,6 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .exactnum import ln_bounds
+from .precision import UndeterminedValue
 
 __all__ = [
     "Stage",
@@ -38,7 +39,6 @@ __all__ = [
     "fit_polynomial_envelope",
     "ViolationReport",
     "condition_violation_report",
-    "reverse_markov_bound",
 ]
 
 _GROUPS = 25  # batch groups for Monte-Carlo standard errors
@@ -53,7 +53,7 @@ def _certify(n: int, pred_lo, pred_hi, bits: int = 128):
             return below
         bits *= 2
         if bits > 1 << 14:
-            raise ArithmeticError("ln enclosure refuses to decide (tie?)")
+            raise UndeterminedValue(f"ln({n}) enclosure undecided at {1 << 14} bits (tie?)")
 
 
 def _ln_gt(n: int, q: Fraction) -> bool:
@@ -329,7 +329,6 @@ def estimate_near_diagonal(
     pair_samples: int = 10**5,
     past_samples: Optional[int] = None,
     seed: int = 0,
-    scale: Optional[int] = None,
 ) -> NearDiagonalEstimate:
     """Monte-Carlo E_eta[(mu_eta x mu_eta)(|x - y| < 1/n_k)].
 
@@ -340,17 +339,12 @@ def estimate_near_diagonal(
     x = sum R_t 2^-t, and tests the scale-1/n_k ball.
     """
     params = proc.params
-    if params.stages:
-        if not 1 <= stage <= len(params.stages):
-            raise ValueError("no such stage")
-        st = params.stages[stage - 1]
-        if proc.W < st.window + st.depth:
-            raise ValueError("window too short for this stage")
-        n_scale = st.n if scale is None else scale
-    else:
-        if scale is None:
-            raise ValueError("a degenerate process needs an explicit scale")
-        n_scale = scale
+    if not 1 <= stage <= len(params.stages):
+        raise ValueError("no such stage")
+    st = params.stages[stage - 1]
+    if proc.W < st.window + st.depth:
+        raise ValueError("window too short for this stage")
+    n_scale = st.n
     if n_scale < 2:
         raise ValueError("scale must be >= 2")
     rng = np.random.default_rng(seed)
@@ -496,12 +490,3 @@ def condition_violation_report(
         control=tuple(control) if control else None,
         control_beta_hat=cb,
     )
-
-
-def reverse_markov_bound(a_bound: float, d: float, expectation: float) -> float:
-    """P(X > d) >= (E X - d)/(a - d) when P(X <= a) = 1 and d < E X."""
-    if not d < expectation:
-        raise ValueError("need d < E X")
-    if not expectation <= a_bound:
-        raise ValueError("need E X <= a")
-    return (expectation - d) / (a_bound - d)

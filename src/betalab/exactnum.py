@@ -37,10 +37,6 @@ def scaled_ceil(x: Fraction, bits: int) -> int:
     return -((-x.numerator << bits) // x.denominator)
 
 
-def frac_ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
 def sqrt_bounds(x: RationalLike, bits: int) -> tuple[Fraction, Fraction]:
     """Certified enclosure [lo, hi] of sqrt(x) with hi - lo <= 2^-bits.
 
@@ -241,9 +237,6 @@ class Quadratic:
         if self.v == 0:
             return hash(self.u)
         return hash((self.u, self.v, self.d))
-
-    def is_zero(self) -> bool:
-        return self.u == 0 and self.v == 0
 
     def bounds(self, bits: int) -> tuple[Fraction, Fraction]:
         """Certified dyadic enclosure of the value, width <= 2^-bits."""

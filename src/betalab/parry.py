@@ -4,9 +4,9 @@ Density series f(x) = sum over n >= 0 with x < T^n(1) of b^(-n), convention
 T^0(1) = 1 so the n = 0 term always fires (the stated bounds 1 - 1/b <= f <=
 1/(1 - 1/b) force that reading).  density_at evaluates the unnormalized f;
 every measure-semantic operation divides by Z = sum b^(-n) T^n(1).  Endpoint
-comparisons x < r_n are certified: exact kinds compare exactly, decimal bases
-refine the orbit and give up with PrecisionExhausted when x sits on an r_n
-below resolution.
+comparisons x < r_n are certified: an orbit point with an exact value compares
+exactly; otherwise the orbit is refined, giving up with PrecisionExhausted when
+x sits on an r_n below resolution.
 """
 
 from __future__ import annotations
@@ -61,10 +61,11 @@ class ParryDensity:
     and evaluation becomes exact (tail identically zero past the hit).
     """
 
-    def __init__(self, base: BetaNumber, digits_required: int = 13):
+    def __init__(self, base: BetaNumber):
         self.base = base
-        self.digits_required = digits_required
+        self.digits_required = 13  # doubled by _resolve_cmp when a probe needs it
         self._orbit: list[Enclosure] = [_ONE]
+        self._z: dict[float, tuple[Fraction, Fraction]] = {}  # normalizer by tol
         self._zero_from: int | None = None  # least n with r_n certified 0
         self._pow_lo: list[Fraction] = [Fraction(1)]  # b^n lower bounds
         self._pow_hi: list[Fraction] = [Fraction(1)]
@@ -72,6 +73,8 @@ class ParryDensity:
     # -- series bookkeeping -------------------------------------------------
 
     def _set_orbit(self, pts: list[Enclosure]) -> None:
+        # a recomputed prefix changes earlier enclosures, so Z is summed again
+        self._z.clear()
         self._orbit = [_ONE] + list(pts)
         for i, p in enumerate(self._orbit):
             if p.is_certified_zero():
@@ -125,13 +128,12 @@ class ParryDensity:
     # -- evaluation -----------------------------------------------------------
 
     def _resolve_cmp(self, x: Fraction, n: int) -> int:
-        """Certified comparison of x against r_n, refining decimal bases."""
+        """Certified comparison of x against r_n, refining the orbit prefix
+        while r_n's enclosure holds x and carries no exact value."""
         while True:
             c = _cmp_point(x, self._orbit[n])
             if c != 0:
                 return c
-            if self.base.exact_value() is not None:
-                raise AssertionError("exact orbit comparison fell through")
             if self.digits_required >= 400:
                 raise PrecisionExhausted(f"probe x = {x} sits on orbit point r_{n}")
             self.digits_required *= 2
@@ -171,17 +173,19 @@ class ParryDensity:
         """Interval of width <= tol around Z = sum b^(-n) T^n(1)."""
         if tol <= 0:
             raise ValueError("tol must be positive")
-        target = Fraction(tol) / 2
-        n_terms = self.terms_for(target)
-        pre = self.prefix(n_terms)
-        z_lo = Fraction(0)
-        z_hi = Fraction(0)
-        for n, r in enumerate(pre):
-            w_lo, w_hi = self._weight(n)
-            z_lo += w_lo * r.lo
-            z_hi += w_hi * r.hi
-        z_hi += self.tail_bound(len(pre))
-        return z_lo, z_hi
+        if tol not in self._z:
+            target = Fraction(tol) / 2
+            n_terms = self.terms_for(target)
+            pre = self.prefix(n_terms)
+            z_lo = Fraction(0)
+            z_hi = Fraction(0)
+            for n, r in enumerate(pre):
+                w_lo, w_hi = self._weight(n)
+                z_lo += w_lo * r.lo
+                z_hi += w_hi * r.hi
+            z_hi += self.tail_bound(len(pre))
+            self._z[tol] = (z_lo, z_hi)
+        return self._z[tol]
 
     def interval_mass(self, u, v, tol: float = 1e-9) -> tuple[Fraction, Fraction]:
         """Normalized mass of [u, v): (1/Z) sum_n b^(-n) |[u,v) cap [0,r_n)|."""

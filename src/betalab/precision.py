@@ -131,24 +131,16 @@ class BetaNumber:
     hi: Fraction
     floor_b: int
     ceil_b: int
-    _rational: Fraction | None = None
-    _quad: Quadratic | None = None
-    _literal: Fraction | None = None  # backing value for bigfloat re-rounding
+    _value: ExactValue  # the literal's rational for bigfloat, used only to re-round
 
     def exact_value(self) -> ExactValue | None:
-        if self.kind == "rational":
-            return self._rational
-        if self.kind == "quadratic":
-            return self._quad
-        return None
+        return None if self.kind == "bigfloat" else self._value
 
     def bounds(self, bits: int) -> tuple[Fraction, Fraction]:
         """Enclosure rounded outward to `bits` fractional bits."""
-        if self.kind == "rational":
-            return round_down(self._rational, bits), round_up(self._rational, bits)
         if self.kind == "quadratic":
-            return self._quad.bounds(bits)
-        return round_down(self._literal, bits), round_up(self._literal, bits)
+            return self._value.bounds(bits)
+        return round_down(self._value, bits), round_up(self._value, bits)
 
     def scaled_bounds(self, bits: int) -> tuple[int, int]:
         """Integer mantissas (lo, hi) at scale 2^-bits."""
@@ -230,13 +222,13 @@ def parse_beta(text: str) -> BetaNumber:
         if flo != math.floor(hi):
             raise DescriptorError(f"enclosure of {s!r} straddles an integer at {bits} bits")
         cb = flo if lo == hi == flo else flo + 1
-        return BetaNumber("bigfloat", s, bits, lo, hi, flo, cb, _literal=value)
+        return BetaNumber("bigfloat", s, bits, lo, hi, flo, cb, value)
     fb = math.floor(value)
     if isinstance(value, Quadratic):
         lo, hi = value.bounds(bits)
-        return BetaNumber("quadratic", s, bits, lo, hi, fb, fb + 1, _quad=value)
+        return BetaNumber("quadratic", s, bits, lo, hi, fb, fb + 1, value)
     lo, hi = round_down(value, bits), round_up(value, bits)
-    return BetaNumber("rational", s, bits, lo, hi, fb, math.ceil(value), _rational=value)
+    return BetaNumber("rational", s, bits, lo, hi, fb, math.ceil(value), value)
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +333,10 @@ _JUMP_SIZE_RATIO = 64
 def _integer_form(b: BetaNumber) -> tuple[int, int, int, int]:
     """Integers (u, v, d, w) with b = (u + v*sqrt(d))/w exactly; v = d = 0 for
     rational bases and decimal literals."""
+    value = b._value
     if b.kind == "quadratic":
-        q = b._quad
-        w = math.lcm(q.u.denominator, q.v.denominator)
-        return int(q.u * w), int(q.v * w), q.d, w
-    value = b._rational if b.kind == "rational" else b._literal
+        w = math.lcm(value.u.denominator, value.v.denominator)
+        return int(value.u * w), int(value.v * w), value.d, w
     return value.numerator, 0, 0, value.denominator
 
 

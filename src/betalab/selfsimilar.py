@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,6 +40,9 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+_SAMPLE_DEPTH = 64  # digits per sample
+_EDGE_EPS = 1e-9  # float slack on cylinder edges in the singularity witness
+_PROBES_PER_WINDOW = 64  # log-spaced probes per dyadic window of the decay profile
 
 
 @dataclass(frozen=True)
@@ -120,20 +123,16 @@ def ssm_selfsim_residual(m: SelfSimilarMeasure, xi: float) -> float:
     return abs(lhs - rhs)
 
 
-def ssm_sample(
-    m: SelfSimilarMeasure, n: int, depth: int = 64, seed: int = 0
-) -> np.ndarray:
-    """n draws of sum_{i<=depth} w_i b^-i; truncation <= b^-depth/(b-1)."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+def ssm_sample(m: SelfSimilarMeasure, n: int, seed: int = 0) -> np.ndarray:
+    """n draws of sum_{i<=64} w_i b^-i; truncation <= b^-64/(b-1)."""
     rng = np.random.default_rng(seed)
-    weights = m.b ** -np.arange(1, depth + 1, dtype=float)
+    weights = m.b ** -np.arange(1, _SAMPLE_DEPTH + 1, dtype=float)
     out = np.zeros(n, dtype=float)
     # digit blocks keep the boolean matrix small at 10^6-sample scale
-    block = max(1, int(4e7 // max(depth, 1)))
+    block = int(4e7 // _SAMPLE_DEPTH)
     for i in range(0, n, block):
         j = min(n, i + block)
-        bits = rng.random((j - i, depth)) < m.p1
+        bits = rng.random((j - i, _SAMPLE_DEPTH)) < m.p1
         out[i:j] = bits @ weights
     return out
 
@@ -146,7 +145,7 @@ class SingularityWitness:
 
 
 def singularity_witness(
-    m: SelfSimilarMeasure, samples: np.ndarray, level: int, eps: float = 1e-9
+    m: SelfSimilarMeasure, samples: np.ndarray, level: int
 ) -> SingularityWitness:
     """Fraction of samples inside the 2^level level cylinders vs their length.
 
@@ -163,20 +162,20 @@ def singularity_witness(
     sup = 1.0 / (b - 1.0)
     total = (2.0 / b) ** level / (b - 1.0)
     x = np.asarray(samples, dtype=float).copy()
-    ok = (x >= -eps) & (x <= sup + eps)
+    ok = (x >= -_EDGE_EPS) & (x <= sup + _EDGE_EPS)
     for _ in range(level):
-        hi_branch = x >= 1.0 / b - eps
-        ok &= hi_branch | (x <= sup / b + eps)  # otherwise x fell in the gap
+        hi_branch = x >= 1.0 / b - _EDGE_EPS
+        ok &= hi_branch | (x <= sup / b + _EDGE_EPS)  # otherwise x fell in the gap
         x = np.where(hi_branch, b * x - 1.0, b * x)
-    ok &= (x >= -eps) & (x <= sup + eps)
+    ok &= (x >= -_EDGE_EPS) & (x <= sup + _EDGE_EPS)
     return SingularityWitness(
         coverage_fraction=float(np.mean(ok)), total_length=total, level=level
     )
 
 
-def uniform_grid(k: int, lo: float = 0.0, hi: float = 1.0) -> list:
-    """k equal intervals [lo, hi) as (u, v) pairs."""
-    edges = np.linspace(lo, hi, k + 1)
+def uniform_grid(k: int) -> list:
+    """k equal intervals of [0, 1) as (u, v) pairs."""
+    edges = np.linspace(0.0, 1.0, k + 1)
     return [(float(edges[i]), float(edges[i + 1])) for i in range(k)]
 
 
@@ -203,7 +202,7 @@ def ssm_invariance_check(
     """
     if len(grid) < 1:
         raise ValueError("empty grid")
-    pts = ssm_sample(m, samples, depth=64, seed=seed)
+    pts = ssm_sample(m, samples, seed=seed)
     pts.sort()
     n = pts.size
     b = m.b
@@ -243,7 +242,6 @@ class DecayWindows:
     edges: tuple
     maxima: tuple
     fitted_c: float
-    probes_per_window: int
 
     def rows(self) -> list:
         return [
@@ -252,12 +250,7 @@ class DecayWindows:
         ]
 
 
-def ssm_decay_profile(
-    m: SelfSimilarMeasure,
-    xi_max: float,
-    windows: Optional[Sequence[int]] = None,
-    probes_per_window: int = 64,
-) -> DecayWindows:
+def ssm_decay_profile(m: SelfSimilarMeasure, xi_max: float) -> DecayWindows:
     """max |mu_hat| over dyadic windows [2^j, 2^(j+1)] and the log-decay fit.
 
     Probes are log-spaced plus every power b^k inside the window; for Pisot b
@@ -268,17 +261,13 @@ def ssm_decay_profile(
     """
     if xi_max < 1e3:
         raise ValueError("xi_max must be >= 1e3")
-    if windows is None:
-        j_hi = int(math.floor(math.log2(xi_max)))
-        windows = list(range(3, j_hi))
-    if len(windows) == 0:
-        raise ValueError("no windows")
+    windows = range(3, int(math.floor(math.log2(xi_max))))
     b = m.b
     maxima = []
     edges = []
     for j in windows:
         lo, hi = 2.0**j, 2.0 ** (j + 1)
-        probes = list(np.geomspace(lo, hi, probes_per_window, endpoint=False))
+        probes = list(np.geomspace(lo, hi, _PROBES_PER_WINDOW, endpoint=False))
         k = int(math.ceil(math.log(lo) / math.log(b)))
         while b**k < hi:
             if b**k >= lo:
@@ -299,5 +288,4 @@ def ssm_decay_profile(
         edges=tuple(edges),
         maxima=tuple(maxima),
         fitted_c=c,
-        probes_per_window=probes_per_window,
     )

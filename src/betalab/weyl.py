@@ -4,8 +4,8 @@ S_N(m) = (1/N) sum_{i<N} e(m T^i x0) with orbit points accurate to 1e-9, so
 phase errors stay below ~1e-5 even at |m| ~ 1000.  The limsup over N that the
 mean-decay statements speak about is not computable; the proxy used
 everywhere is max |S_N'(m)| over the tail checkpoints {N/4, N/2, N}, biased
-upward and therefore conservative for decay claims.  The symbol log b / log a
-is called log_ratio here; alpha/beta are reserved for the mass exponents.
+upward and therefore conservative for decay claims.  alpha/beta are reserved
+for the mass exponents.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .parry import ParryDensity
 from .precision import BetaNumber, tb_orbit_floats
 from .sources import MarkovSource, fit_condition_exponents, sample_point
 
@@ -28,11 +27,8 @@ __all__ = [
     "predicted_exponent",
     "optimize_exponent_grid",
     "lemma32_check",
-    "wiener_atom_estimate",
     "invariance_defect",
     "invariance_defects",
-    "parry_distance",
-    "empirical_fourier",
     "multiplicatively_independent",
 ]
 
@@ -82,12 +78,10 @@ class WeylSeries:
     """Exponential-sum averages of one orbit at several checkpoints."""
 
     base: BetaNumber
-    x0_provenance: str
     checkpoints: tuple[int, ...]
     ms: tuple[int, ...]
     values: dict  # (N, m) -> complex
     orbit: np.ndarray  # x_0 .. x_{N_max}, length N_max + 1
-    log_ratio: float | None = None
 
     @property
     def n_final(self) -> int:
@@ -103,10 +97,6 @@ class WeylSeries:
             raise ValueError("checkpoint beyond stored orbit")
         return complex(np.mean(np.exp(2j * math.pi * m * self.orbit[:n])))
 
-    def coefficient(self, m: int) -> complex:
-        """Empirical Fourier coefficient at the final checkpoint."""
-        return self.s(self.n_final, m)
-
 
 def _checkpoint_means(cur: np.ndarray, cps: tuple[int, ...]) -> list[complex]:
     idx = np.array([0] + list(cps[:-1]))
@@ -121,8 +111,6 @@ def weyl_sums(
     checkpoints,
     ms,
     digits_required: int = 9,
-    a: int | None = None,
-    provenance: str | None = None,
 ) -> WeylSeries:
     """One orbit pass, S_N(m) at every checkpoint and frequency."""
     cps = tuple(sorted(set(int(n) for n in checkpoints)))
@@ -144,17 +132,12 @@ def weyl_sums(
         cur = np.exp(2j * math.pi * m * xs[:n_max])
         for n, sval in zip(cps, _checkpoint_means(cur, cps)):
             values[(n, m)] = sval
-    log_ratio = None
-    if a is not None:
-        log_ratio = math.log(float(b)) / math.log(a)
     return WeylSeries(
         base=b,
-        x0_provenance=provenance if provenance is not None else repr(x0),
         checkpoints=cps,
         ms=ms,
         values=values,
         orbit=xs,
-        log_ratio=log_ratio,
     )
 
 
@@ -347,7 +330,6 @@ class Lemma32Result:
     rhs: float
     slack: float
     quad_error: float
-    mc_error: float
     mass_cd: float
     near_mass: float
     far_bound: float
@@ -411,7 +393,6 @@ def lemma32_check(
         raise ValueError("need 0 <= c < d <= 1")
     bf = float(b)
     q = max(quad_nodes, min(4 * abs(m), 32768))
-    mc_error = 0.0
     if isinstance(mu, str):
         if mu != "uniform":
             raise ValueError(f"unknown analytic measure {mu!r}")
@@ -446,21 +427,11 @@ def lemma32_check(
         rhs=rhs,
         slack=rhs - lhs_2q,
         quad_error=quad_error,
-        mc_error=mc_error,
         mass_cd=mass,
         near_mass=near,
         far_bound=far,
         nodes=2 * q,
     )
-
-
-def wiener_atom_estimate(coeffs) -> float:
-    """Cesaro average (1/(2M+1)) sum_{|m|<=M} |lambda_hat(m)|^2; the atom-mass
-    estimate from the coefficient window.  Input covers m = -M .. M."""
-    arr = np.asarray(coeffs, dtype=complex)
-    if arr.ndim != 1 or len(arr) % 2 == 0 or len(arr) < 3:
-        raise ValueError("need coefficients for m = -M..M (odd length >= 3)")
-    return float(np.mean(np.abs(arr) ** 2))
 
 
 def invariance_defects(series: WeylSeries, max_degree: int) -> list[float]:
@@ -485,27 +456,3 @@ def invariance_defect(series: WeylSeries, test_degree: int) -> float:
     """max_m |E(e_m) - E(e_m o T)| over 1 <= m <= test_degree; the orbit
     telescoping identity caps this at |e_m(x_0) - e_m(x_N)|/N <= 2/N."""
     return invariance_defects(series, test_degree)[-1]
-
-
-def empirical_fourier(points: np.ndarray, m: int) -> complex:
-    return complex(np.mean(np.exp(2j * math.pi * m * np.asarray(points, dtype=float))))
-
-
-def parry_distance(series_or_points, density: ParryDensity, m_max: int) -> float:
-    """Weighted l2 gap sum_{|m|<=M} |lambda_hat(m) - parry_hat(m)|^2/(1+m^2).
-
-    Diagnostic only; no statement of convergence is implied.  Accepts a
-    WeylSeries (final checkpoint) or a raw sample cloud.
-    """
-    if m_max < 0:
-        raise ValueError("m_max must be >= 0")
-    if isinstance(series_or_points, WeylSeries):
-        coeff = series_or_points.coefficient
-    else:
-        pts = np.asarray(series_or_points, dtype=float)
-        coeff = lambda m: empirical_fourier(pts, m)  # noqa: E731
-    total = 0.0
-    for m in range(1, m_max + 1):
-        gap = coeff(m) - density.fourier(m, tol=1e-10).value
-        total += 2.0 * abs(gap) ** 2 / (1.0 + m * m)
-    return total

@@ -11,7 +11,6 @@ from betalab.betashift import (
     format_digits,
     greedy_expansion,
     is_admissible,
-    parse_digits,
     specification_constants,
 )
 from betalab.precision import parse_beta
@@ -34,7 +33,6 @@ def _float_greedy(b: float, x: float, n: int):
 
 def test_digit_formatting_roundtrip():
     assert format_digits((1, 0, 2)) == "102"
-    assert parse_digits("102") == (1, 0, 2)
 
 
 def test_greedy_matches_float_shadow():

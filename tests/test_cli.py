@@ -207,6 +207,14 @@ def test_exit_precision_unresolvable_cut(tmp_path, capsys):
     assert "precision exhausted" in capsys.readouterr().err
 
 
+def test_exit_precision_undecided_ln_enclosure(tmp_path, monkeypatch, capsys):
+    # an enclosure of ln(n) that never narrows cannot certify a stage
+    monkeypatch.setattr("betalab.coding.ln_bounds", lambda n, bits: (0, 10**6))
+    rc = main(["counterexample", "--K", "1", "--pairs", "1000", "--out", str(tmp_path)])
+    assert rc == 3
+    assert "precision exhausted" in capsys.readouterr().err
+
+
 def test_exit_violation_still_writes_manifest(tmp_path, monkeypatch, capsys):
     # the library's own bounds hold, so force a defect past the 2/N budget
     monkeypatch.setattr(cli, "invariance_defects", lambda series, k: [1.0] * k)

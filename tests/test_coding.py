@@ -7,14 +7,12 @@ import pytest
 
 from betalab.coding import (
     CodedProcess,
-    ConstructionParams,
     NearDiagonalEstimate,
     build_schedule,
     condition_violation_report,
     control_near_diagonal,
     estimate_near_diagonal,
     fit_polynomial_envelope,
-    reverse_markov_bound,
     schedule_from_dict,
 )
 
@@ -127,14 +125,6 @@ def test_near_diagonal_rejects_short_window():
         estimate_near_diagonal(CodedProcess(p), 3, pair_samples=1000)
 
 
-def test_degenerate_process_pairs_exactly():
-    # no stages: R is identically 0, futures are the zero point: all pairs hit
-    p = ConstructionParams(alphabet_size=3, epsilon=Fraction(1, 4), stages=())
-    proc = CodedProcess(p, W=4)
-    e = estimate_near_diagonal(proc, 1, pair_samples=5000, scale=10)
-    assert e.estimate == 1.0
-
-
 def test_control_polynomial_envelope():
     ests = control_near_diagonal((4, 16, 64, 256), pair_samples=200000, seed=5)
     for e, n in zip(ests, (4, 16, 64, 256)):
@@ -180,15 +170,6 @@ def test_violation_report_verdicts():
     d = rep.to_dict()
     assert d["log_convention"] == "natural"
     assert "caveat" in d
-
-
-def test_reverse_markov_bound():
-    # P(X > d) >= (EX - d)/(a - d); at a = 2, d = 1/8 ln^-4, EX = 1/4 ln^-4:
-    assert abs(reverse_markov_bound(2.0, 0.125, 0.25) - (0.125 / 1.875)) < 1e-15
-    with pytest.raises(ValueError):
-        reverse_markov_bound(2.0, 0.3, 0.25)  # d >= EX
-    with pytest.raises(ValueError):
-        reverse_markov_bound(0.2, 0.1, 0.25)  # EX above the a.s. bound
 
 
 def test_estimator_floor_formula():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from betalab.exactnum import (
     Quadratic,
-    frac_ceil,
     ln2_bounds,
     ln_bounds,
     round_down,
@@ -36,8 +35,6 @@ def test_rounding_brackets_and_width():
 def test_scaled_floor_ceil():
     assert scaled_floor(Fraction(1, 3), 4) == 5  # floor(16/3)
     assert scaled_ceil(Fraction(1, 3), 4) == 6
-    assert frac_ceil(Fraction(7, 3)) == 3
-    assert frac_ceil(Fraction(6, 3)) == 2
 
 
 def test_sqrt_bounds_certify():
@@ -62,6 +59,26 @@ def test_ln_bounds_enclose_math_log():
         # float log sits inside, up to its own last-bit error
         assert float(lo) - 1e-12 <= math.log(x) <= float(hi) + 1e-12
         assert hi - lo <= Fraction(1, 2**70)
+
+
+@given(
+    st.fractions(min_value=Fraction(1, 10**9), max_value=10**9, max_denominator=10**9).filter(
+        lambda x: x != 1
+    ),
+    st.integers(16, 512),
+)
+def test_ln_bounds_enclose_mpmath_log(x, bits):
+    # ln(x) for rational x != 1 is irrational, so a sound enclosure strictly
+    # contains it; mpmath at bits + 80 bits is off by far less than the slack
+    mpmath = pytest.importorskip("mpmath")
+    lo, hi = ln_bounds(x, bits)
+    with mpmath.workprec(bits + 80):
+        ln_x = mpmath.log(mpmath.mpf(x.numerator) / x.denominator)
+    man, exp = ln_x.man_exp  # man is unsigned
+    ref = int(mpmath.sign(ln_x)) * man * Fraction(2) ** exp
+    slack = Fraction(1, 2 ** (bits + 64))
+    assert lo - slack < ref < hi + slack
+    assert hi - lo <= Fraction(2, 2**bits)
 
 
 def test_ln_bounds_huge_argument_is_cheap():
@@ -98,7 +115,7 @@ PHI = Quadratic(Fraction(1, 2), Fraction(1, 2), 5)
 
 def test_phi_satisfies_its_polynomial():
     assert PHI * PHI == PHI + 1
-    assert (PHI * PHI - PHI - 1).is_zero()
+    assert PHI * PHI - PHI - 1 == 0
 
 
 def test_sqrt2_squares_to_two():

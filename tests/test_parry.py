@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from betalab import precision
 from betalab.parry import ParryDensity, preimage_of_interval
 from betalab.precision import parse_beta
 
@@ -25,6 +26,18 @@ def test_integer_base_density_is_lebesgue():
         assert abs(float(lo) - 1.0) < 1e-12 and abs(float(hi) - 1.0) < 1e-12
     z_lo, z_hi = den.normalizer(tol=1e-13)
     assert abs(float(z_lo) - 1.0) < 1e-12
+
+
+def test_normalizer_follows_a_recomputed_prefix():
+    # a longer prefix is recomputed from scratch, at other enclosure widths,
+    # so Z at an unchanged tolerance must be summed again
+    b = parse_beta("2.3")
+    den = ParryDensity(b)
+    short = den.normalizer(tol=1e-6)
+    den.density_at(Fraction(1, 3), tol=1e-13)
+    fresh = ParryDensity(b)
+    fresh.density_at(Fraction(1, 3), tol=1e-13)
+    assert den.normalizer(tol=1e-6) == fresh.normalizer(tol=1e-6) != short
 
 
 def test_phi_density_is_two_level():
@@ -120,6 +133,22 @@ def test_sampler_matches_interval_mass():
         )
         emp = float(np.mean((pts >= u) & (pts < v)))
         assert abs(emp - float((m_lo + m_hi) / 2)) < 0.005
+
+
+def test_probe_inside_an_interval_enclosure_refines(monkeypatch):
+    # past precision._EXACT_PATH_CUTOFF terms (b close to 1) the prefix of an
+    # exact base comes from the interval path, without exact values; a probe
+    # inside such an enclosure refines the prefix like a decimal base does
+    b = parse_beta("7/5")
+    monkeypatch.setattr(precision, "_EXACT_PATH_CUTOFF", 0)
+    den = ParryDensity(b)
+    den.density_at(0)
+    r3 = den._orbit[3]
+    x = r3.midpoint()
+    assert r3.exact is None and r3.lo < x < r3.hi
+    got = den.density_at(x)
+    monkeypatch.undo()
+    assert got == ParryDensity(b).density_at(x)  # the exact path's answer
 
 
 def test_density_tolerance_drives_enclosure_width():

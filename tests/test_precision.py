@@ -242,8 +242,7 @@ def _parse_base_above_one(desc: str):
 
 def _exact_points(b, x: Fraction, n: int):
     """Exact orbit digits and values; decimal literals iterate their backing rational."""
-    value = b.exact_value() if b.exact_value() is not None else b._literal
-    pts, digs = precision._exact_orbit(value, x, n, 64)
+    pts, digs = precision._exact_orbit(b._value, x, n, 64)
     return digs, [p.exact for p in pts]
 
 

@@ -9,16 +9,13 @@ from betalab.parry import ParryDensity
 from betalab.precision import parse_beta
 from betalab.sources import iid_source
 from betalab.weyl import (
-    empirical_fourier,
     invariance_defect,
     lemma32_check,
     mean_decay_profile,
     multiplicatively_independent,
     optimize_exponent_grid,
-    parry_distance,
     predicted_exponent,
     weyl_sums,
-    wiener_atom_estimate,
 )
 
 PHI = parse_beta("(1+sqrt5)/2")
@@ -120,13 +117,13 @@ def test_lemma32_uniform_analytic():
     for m in (4, 64, 1024):
         for r in (0.05, 0.15):
             res = lemma32_check("uniform", 0.0, 1.0, m, r, b)
-            assert res.slack >= -(res.quad_error + res.mc_error), (m, r)
+            assert res.slack >= -res.quad_error, (m, r)
 
 
 def test_lemma32_on_parry_cloud():
     den = ParryDensity(PHI)
     res = lemma32_check(den, 0.1, 0.9, 64, 0.1, PHI, cloud_size=20000, seed=3)
-    assert res.slack >= -(res.quad_error + res.mc_error)
+    assert res.slack >= -res.quad_error
     assert res.mass_cd < 1.0
 
 
@@ -139,35 +136,6 @@ def test_lemma32_rejects_tiny_clouds_and_atoms():
         lemma32_check(atomic, 0.0, 1.0, 4, 0.1, b)
     with pytest.raises(ValueError):
         lemma32_check("uniform", 0.0, 1.0, 0, 0.1, b)  # m = 0
-
-
-def test_wiener_atom_estimate():
-    # point mass at 1/2: lambda_hat(m) = (-1)^m, Cesaro of |.|^2 over the
-    # symmetric window m = -M..M stays at 1; continuous-type decay gives ~0
-    coeffs = [(-1.0 + 0j) ** m for m in range(-32, 33)]
-    assert wiener_atom_estimate(coeffs) > 0.99
-    rng = np.random.default_rng(5)
-    noise = rng.normal(0, 0.01, 65) + 1j * rng.normal(0, 0.01, 65)
-    noise[32] = 1.0  # m = 0 coefficient of a probability measure
-    assert wiener_atom_estimate(noise) < 0.05
-
-
-def test_parry_distance_detects_matching_measure():
-    den = ParryDensity(PHI)
-    pts = den.sample(200000, seed=11)
-    close = parry_distance(pts, den, m_max=16)
-    assert close < 0.02
-    # uniform points are far from the phi density in the same metric
-    rng = np.random.default_rng(12)
-    far = parry_distance(rng.random(200000), den, m_max=16)
-    assert far > 3 * close
-
-
-def test_empirical_fourier_agrees_with_series():
-    b = parse_beta("2")
-    series = weyl_sums(b, Fraction(1, 3), (1000,), (1,))
-    direct = empirical_fourier(series.orbit[:1000], 1)
-    assert abs(direct - series.s(1000, 1)) < 1e-9
 
 
 # -- mean profile ----------------------------------------------------------------------
