@@ -12,7 +12,8 @@ included, is a usage error.
 
 Exit codes: 0 success, 1 usage or domain error, 2 certified invariant
 violation (a bound the library promises was breached beyond its stated error
-budget), 3 precision exhaustion.
+budget) or certification failure (an internal soundness check failed), 3
+precision exhaustion.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -36,6 +38,7 @@ from .coding import (
 )
 from .parry import ParryDensity
 from .precision import (
+    CertificationError,
     DescriptorError,
     PrecisionExhausted,
     UndeterminedValue,
@@ -253,6 +256,10 @@ def cmd_expand(args, ws: Workspace) -> int:
 
 
 def cmd_parry(args, ws: Workspace) -> int:
+    if args.grid < 1:
+        raise UsageError(f"--grid must be at least 1, got {args.grid}")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise UsageError(f"--tol must be finite and positive, got {args.tol}")
     b = parse_beta(args.beta)
     den = ParryDensity(b)
     rows = den.grid_rows(args.grid, tol=args.tol)
@@ -744,6 +751,10 @@ def main(argv=None) -> int:
     except (PrecisionExhausted, UndeterminedValue) as exc:
         print(f"precision exhausted: {exc}", file=sys.stderr)
         return EXIT_PRECISION
+    except CertificationError as exc:
+        # no manifest: what such a run wrote is not a certified result
+        print(f"certification failure: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
     ws.write_manifest(args)
     return code
 

@@ -56,6 +56,10 @@ class UndeterminedValue(ArithmeticError):
     """A sign or membership query cannot be certified at any allowed precision."""
 
 
+class CertificationError(ArithmeticError):
+    """An internal soundness check failed: a certified bound does not hold."""
+
+
 @dataclass(frozen=True)
 class Enclosure:
     """Dyadic interval [lo, hi] around a point, with an optional exact value.
@@ -70,9 +74,9 @@ class Enclosure:
 
     def __post_init__(self) -> None:
         if self.lo > self.hi:
-            raise ValueError("empty enclosure")
+            raise CertificationError("empty enclosure")
         if self.exact is not None and not self.lo <= self.exact <= self.hi:
-            raise ValueError("exact value escapes enclosure")
+            raise CertificationError("exact value escapes enclosure")
 
     @property
     def width(self) -> Fraction:

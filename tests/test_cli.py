@@ -4,19 +4,25 @@ Library numerics are covered by the module tests; here we only pin the
 plumbing contract (descriptor parsing, JSON/CSV layout, determinism).
 """
 
+import hashlib
 import json
 import math
 import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import betalab.cli as cli
+from betalab import precision
 from betalab.cli import UsageError, main, parse_point
 from betalab.exactnum import Quadratic
 from betalab.precision import parse_exact
+
+# seed-0 artifact hashes of the benchmark's commands; read here, never written
+REFERENCE_HASHES = Path(__file__).resolve().parents[1] / "bench" / "reference_hashes.json"
 
 
 def _json(d, name):
@@ -140,6 +146,17 @@ def test_parry_normalizer_and_cdf(tmp_path):
     assert abs(float(rows[-1].split(",")[2]) - 1.0) < 1e-6
 
 
+@pytest.mark.parametrize(
+    "label, beta", [("parry_2.2", "2.2"), ("parry_5-2", "5/2"), ("parry_phi", "(1+sqrt5)/2")]
+)
+def test_parry_artifacts_match_reference_hashes(tmp_path, label, beta):
+    want = json.loads(REFERENCE_HASHES.read_text())["parry_density"][label]
+    d = str(tmp_path)
+    assert main(["parry", "--beta", beta, "--out", d]) == 0
+    for name in ("parry.csv", "parry.json"):
+        assert hashlib.sha256(_bytes(d, name)).hexdigest() == want[name], name
+
+
 def test_decay_smoke(tmp_path):
     d = str(tmp_path)
     rc = main(
@@ -196,6 +213,18 @@ def test_exit_usage(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [("--grid", "0"), ("--grid", "-3"), ("--tol", "0"), ("--tol=-1e-3",), ("--tol", "inf"),
+     ("--tol", "nan")],
+)
+def test_parry_rejects_bad_grid_and_tol(tmp_path, capsys, flags):
+    d = str(tmp_path)
+    assert main(["parry", "--beta", "5/2", *flags, "--out", d]) == 1
+    assert "usage error: --" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(d, "parry.csv"))
+
+
 def test_exit_precision_unresolvable_cut(tmp_path, capsys):
     # T_{3/2}(2/3) = 1 exactly; no finite binary enclosure can settle that cut
     d = str(tmp_path)
@@ -213,6 +242,16 @@ def test_exit_precision_undecided_ln_enclosure(tmp_path, monkeypatch, capsys):
     rc = main(["counterexample", "--K", "1", "--pairs", "1000", "--out", str(tmp_path)])
     assert rc == 3
     assert "precision exhausted" in capsys.readouterr().err
+
+
+def test_exit_certification_failure_writes_no_manifest(tmp_path, monkeypatch, capsys):
+    # upper ends rounded down: T(1/3) = 5/6 escapes its exact-path enclosure
+    monkeypatch.setattr(precision, "round_up", precision.round_down)
+    d = str(tmp_path)
+    rc = main(["orbit", "--beta", "5/2", "--x", "1/3", "--steps", "3", "--out", d])
+    assert rc == 2
+    assert "certification failure: exact value escapes enclosure" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(d, "orbit_manifest.json"))
 
 
 def test_exit_violation_still_writes_manifest(tmp_path, monkeypatch, capsys):

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from betalab import precision
+from betalab import parry, precision
 from betalab.parry import ParryDensity, preimage_of_interval
-from betalab.precision import parse_beta
+from betalab.precision import parse_beta, parse_exact
 
 PHI = parse_beta("(1+sqrt5)/2")
 SILVER = parse_beta("1+sqrt2")
@@ -17,6 +19,110 @@ PHI_F = (1 + math.sqrt(5)) / 2
 Z_PHI = 1.381966011250105
 # for 1+sqrt2 the series telescopes to 4 - 2*sqrt2
 Z_SILVER = 4 - 2 * math.sqrt(2)
+
+
+# -- row-by-row oracle ------------------------------------------------------------
+# The density, mass and grid evaluated one probe at a time: one certified
+# comparison and one exact Fraction sum per term and probe.  The library's
+# sweep must give the same exact values and the same floats.
+
+
+def rowwise_density(den, x, tol):
+    n_terms = den.terms_for(Fraction(tol) / 2)
+    den._extend(n_terms + 1)
+    n_terms = min(n_terms, len(den._orbit))
+    s_lo = s_hi = Fraction(0)
+    for n in range(n_terms):
+        if den._resolve_cmp(Fraction(x), n) < 0:
+            w_lo, w_hi = den._weight(n)
+            s_lo += w_lo
+            s_hi += w_hi
+    return s_lo, s_hi + den.tail_bound(n_terms)
+
+
+def rowwise_mass(den, u, v, tol):
+    target = Fraction(tol) / 4
+    pre = den.prefix(den.terms_for(target))
+    m_lo = m_hi = Fraction(0)
+    for n, r in enumerate(pre):
+        w_lo, w_hi = den._weight(n)
+        m_lo += w_lo * max(Fraction(0), min(v, r.lo) - u)
+        m_hi += w_hi * max(Fraction(0), min(v, r.hi) - u)
+    m_hi += den.tail_bound(len(pre)) * (v - u)
+    z_lo, z_hi = den.normalizer(tol=float(target))
+    return m_lo / z_hi, m_hi / z_lo
+
+
+def rowwise_grid_rows(den, grid_n, tol):
+    z_lo, z_hi = den.normalizer(tol=tol)
+    z = float((z_lo + z_hi) / 2)
+    rows = []
+    for i in range(grid_n):
+        x = Fraction(i, grid_n)
+        f_lo, f_hi = rowwise_density(den, x, tol)
+        cf = rowwise_mass(den, Fraction(0), x, tol) if x > 0 else (Fraction(0), Fraction(0))
+        rows.append((float(x), float((f_lo + f_hi) / 2) / z, float(sum(cf) / 2)))
+    return rows + [(1.0, rows[-1][1], 1.0)]
+
+
+def _rational(q):
+    return st.integers(-(-3 * q // 2), 9 * q // 2).map(lambda p: f"{p}/{q}")
+
+
+def _quadratic(t):
+    u, sign, d, w = t
+    return f"({u}{sign}sqrt{d})/{w}"
+
+
+# bases in [3/2, 9/2]: rationals, real quadratics over Q(sqrt d), decimal literals
+BASES = st.one_of(
+    st.integers(1, 8).flatmap(_rational),
+    st.tuples(st.integers(0, 9), st.sampled_from("+-"), st.sampled_from((2, 3, 5)),
+              st.integers(1, 4))
+    .map(_quadratic)
+    .filter(lambda s: 1.5 <= float(parse_exact(s)) <= 4.5),
+    st.integers(150, 450).map(lambda n: f"{n // 100}.{n % 100:02d}"),
+)
+
+
+@given(BASES, st.integers(1, 64), st.floats(1e-12, 1e-6))
+def test_grid_sweep_matches_row_by_row(descriptor, grid_n, tol):
+    b = parse_beta(descriptor)
+    den = ParryDensity(b)
+    try:
+        rows = den.grid_rows(grid_n, tol)
+    except precision.PrecisionExhausted:
+        # a grid point on an orbit point of a decimal base: no precision
+        # certifies the comparison, one probe at a time either
+        with pytest.raises(precision.PrecisionExhausted):
+            rowwise_grid_rows(ParryDensity(b), grid_n, tol)
+        return
+    pre = den._orbit
+    assert rows == rowwise_grid_rows(den, grid_n, tol)
+    assert den._orbit is pre  # the sweep grew the prefix to all that the rows read
+    x, y = Fraction(grid_n // 3, grid_n), Fraction(1, 3)
+    assert den.density_at(x, tol) == rowwise_density(den, x, tol)
+    assert den.density_at(y, tol) == rowwise_density(den, y, tol)
+    assert den.interval_mass(x, x + Fraction(1, 2), tol) == rowwise_mass(den, x, x + Fraction(1, 2), tol)
+
+
+def test_sweep_refines_before_summing(monkeypatch):
+    # as in test_probe_inside_an_interval_enclosure_refines below: a probe
+    # inside an interval enclosure of 7/5's orbit refines the prefix in the
+    # middle of a sweep; every probe then gets the row-by-row answer on the
+    # refined prefix
+    monkeypatch.setattr(precision, "_EXACT_PATH_CUTOFF", 0)
+    den = ParryDensity(parse_beta("7/5"))
+    den.density_at(0)
+    x = den._orbit[3].midpoint()
+    xs = sorted([Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), x])
+    n_terms = den._density_terms(1e-9)
+    pieces = parry._per_probe(den._density_sweep(xs, n_terms))
+    assert den.digits_required > 13
+    pre = den._orbit
+    assert [(lo, hi) for (lo, _), (hi, _) in pieces] == [rowwise_density(den, p, 1e-9) for p in xs]
+    assert den.density_at(x) == rowwise_density(den, x, 1e-9)
+    assert den._orbit is pre
 
 
 def test_integer_base_density_is_lebesgue():
@@ -101,6 +207,23 @@ def test_preimage_structure():
     assert len(pieces) == 3  # digits 0, 1, 2
     total = sum(c - a for a, c in pieces)
     assert total == Fraction(1, 4) * Fraction(2, 5) * 3
+
+
+def test_preimage_pieces_contain_the_true_preimage():
+    # phi's branch preimages have quadratic ends (k+u)/phi, (k+v)/phi; each
+    # piece, rounded outward, holds them, and is at most 2^-180 wider
+    inv_phi = PHI.exact_value() - 1
+    rng = random.Random(31)
+    for _ in range(50):
+        i = rng.randrange(0, 999)
+        u, v = Fraction(i, 1000), Fraction(rng.randrange(i + 1, 1001), 1000)
+        true = [(max(inv_phi * (k + u), 0), min(inv_phi * (k + v), 1)) for k in range(PHI.ceil_b)]
+        true = [(a, c) for a, c in true if a < c]
+        pieces = preimage_of_interval(PHI, u, v)
+        assert len(pieces) == len(true)
+        for (lo, hi), (a, c) in zip(pieces, true):
+            assert lo <= a and c <= hi
+            assert (hi - lo) - (c - a) < Fraction(1, 2**180)
 
 
 def test_cdf_rows_monotone():
