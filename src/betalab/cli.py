@@ -393,12 +393,12 @@ def cmd_exponent(args, ws: Workspace) -> int:
     return EXIT_OK
 
 
-def _lemma32_measure(args):
+def _lemma32_measure(args, b):
+    """The analytic measure's name, or one cloud drawn for every (m, r)."""
     if args.mu == "uniform":
         return "uniform"
-    b = parse_beta(args.beta)
     if args.mu == "parry":
-        return ParryDensity(b)
+        return ParryDensity(b).sample(args.cloud, args.seed)
     if args.mu == "selfsim":
         meas = SelfSimilarMeasure(b, args.p0, args.p1)
         return ssm_sample(meas, args.cloud, seed=args.seed)
@@ -407,7 +407,7 @@ def _lemma32_measure(args):
 
 def cmd_lemma32(args, ws: Workspace) -> int:
     b = parse_beta(args.beta)
-    mu = _lemma32_measure(args)
+    mu = _lemma32_measure(args, b)
     configs = []
     violations = 0
     for m in _int_list(args.m):

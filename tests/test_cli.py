@@ -16,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import betalab.cli as cli
-from betalab import precision
+from betalab import precision, weyl
 from betalab.cli import UsageError, main, parse_point
 from betalab.exactnum import Quadratic
 from betalab.precision import parse_exact
@@ -155,6 +155,30 @@ def test_parry_artifacts_match_reference_hashes(tmp_path, label, beta):
     assert main(["parry", "--beta", beta, "--out", d]) == 0
     for name in ("parry.csv", "parry.json"):
         assert hashlib.sha256(_bytes(d, name)).hexdigest() == want[name], name
+
+
+def test_parry_decimal_base_certifies_no_identity(tmp_path, capsys):
+    # the grid point 1/5 equals T(1) = 2.2 - 2; a decimal base has only
+    # interval enclosures, so the cut is never settled, while the rational
+    # 11/5 decides it exactly
+    assert main(["parry", "--beta", "2.2", "--grid", "5", "--out", str(tmp_path / "dec")]) == 3
+    assert "precision exhausted" in capsys.readouterr().err
+    assert main(["parry", "--beta", "11/5", "--grid", "5", "--out", str(tmp_path / "rat")]) == 0
+
+
+def test_lemma32_at_default_flags(tmp_path):
+    d = str(tmp_path)
+    assert main(["lemma32", "--mu", "parry", "--beta", "(1+sqrt5)/2", "--out", d]) == 0
+    payload = _json(d, "lemma32.json")
+    assert payload["violations"] == 0
+    configs = payload["configs"]
+    assert [(c["m"], c["r"]) for c in configs] == [
+        (m, r) for m in (4, 64, 1024) for r in (0.05, 0.15)
+    ]
+    for first, second in zip(configs[::2], configs[1::2]):
+        assert first["lhs"] == second["lhs"]  # one cloud, r-independent LHS
+    nufft = (2 * weyl._NUFFT_ERROR + weyl._NUFFT_ERROR**2) * configs[0]["mass_cd"] ** 2
+    assert all(c["quad_error"] >= nufft for c in configs)
 
 
 def test_decay_smoke(tmp_path):

@@ -1,5 +1,6 @@
-"""Static checks on the package: no dead imports, no unreachable public
-names, and the benchmark's traced names still resolve.
+"""Static checks on the package: numpy is its only dependency, no dead
+imports, no unreachable public names, and the benchmark's traced names still
+resolve.
 
 `bench/tracing.py` wraps the functions it lists in TRACED by name, so a
 renamed or deleted function would only show up as a crash of the traced
@@ -11,6 +12,7 @@ import ast
 import importlib
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,6 +48,24 @@ def test_no_module_imports_a_name_it_never_uses():
         if path.name != "__init__.py":
             unused += _unused_imports(path)
     assert not unused, unused
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    foreign = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            foreign += [
+                f"{path.name}:{node.lineno} {root}"
+                for root in roots
+                if root not in ("betalab", "numpy") and root not in sys.stdlib_module_names
+            ]
+    assert not foreign, foreign
 
 
 def _load_tracing():

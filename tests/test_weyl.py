@@ -4,11 +4,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from betalab.parry import ParryDensity
 from betalab.precision import parse_beta
 from betalab.sources import iid_source
 from betalab.weyl import (
+    _NUFFT_ERROR,
+    _lhs_quadrature_cloud,
+    _window_sums,
     invariance_defect,
     lemma32_check,
     mean_decay_profile,
@@ -19,6 +24,7 @@ from betalab.weyl import (
 )
 
 PHI = parse_beta("(1+sqrt5)/2")
+PHI_F = float(PHI)
 
 
 def test_doubling_map_oracle():
@@ -136,6 +142,74 @@ def test_lemma32_rejects_tiny_clouds_and_atoms():
         lemma32_check(atomic, 0.0, 1.0, 4, 0.1, b)
     with pytest.raises(ValueError):
         lemma32_check("uniform", 0.0, 1.0, 0, 0.1, b)  # m = 0
+
+
+# -- lemma32 quadrature: the NUFFT against the direct sum -------------------------------
+
+
+def _direct_sums(ys, m, b, q, nodes):
+    """|sum_j e(m b^z y_j)| at the midpoint nodes z = (k + 1/2)/q, k in nodes,
+    summed term by term: the direct O(q n) oracle for the NUFFT."""
+    theta = 2.0 * math.pi * m * np.power(b, (nodes + 0.5) / q)
+    return np.abs(np.exp(1j * np.outer(theta, ys)).sum(axis=1))
+
+
+def _direct_lhs(ys, n_total, m, b, q):
+    """_lhs_quadrature_cloud's midpoint rule over direct sums, in blocks of
+    about 4M exponentials."""
+    blocks = np.array_split(np.arange(q), max(1, q * len(ys) // 4_000_000))
+    total = sum(float(np.sum(_direct_sums(ys, m, b, q, k) ** 2)) for k in blocks)
+    return total / n_total**2 / q
+
+
+def _rounding(ys, m, b):
+    """Float rounding both sums may carry at one node: each phase theta y is
+    rounded to a few ulps of the largest phase, 2 pi |m| b."""
+    return 8 * np.finfo(float).eps * 2 * math.pi * abs(m) * b * len(ys)
+
+
+@given(
+    m=st.integers(1, 4096),
+    sign=st.sampled_from((1, -1)),
+    c=st.floats(0.0, 0.95),
+    width=st.floats(0.01, 1.0),
+    n=st.integers(10_000, 20_000),
+    skew=st.floats(0.25, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+    b=st.sampled_from((PHI_F, 2.0, 2.2)),
+)
+def test_window_sums_match_direct_sum(m, sign, c, width, n, skew, seed, b):
+    # every |G(theta_k)| within len(ys) * _NUFFT_ERROR plus float rounding, on
+    # 40 nodes of each Richardson pass: both ends, where the interpolation
+    # window meets the grid's edges, and evenly between
+    cloud = np.random.default_rng(seed).random(n) ** skew
+    ys = np.sort(cloud[(cloud >= c) & (cloud <= min(1.0, c + width))])
+    assume(len(ys) > 0)
+    q = max(256, min(4 * m, 32768))
+    bound = len(ys) * _NUFFT_ERROR + _rounding(ys, m, b)
+    for passes in (q, 2 * q):
+        nodes = np.linspace(0, passes - 1, 40).astype(int)
+        fast = _window_sums(ys, sign * m, b, passes)[nodes]
+        gap = np.abs(fast - _direct_sums(ys, sign * m, b, passes, nodes))
+        assert gap.max() <= bound, (gap.max(), bound)
+
+
+@pytest.mark.parametrize("m, c, d", [(4, 0.0, 1.0), (64, 0.1, 0.9), (1024, 0.3, 0.35)])
+def test_lhs_quadrature_matches_direct_sum(m, c, d):
+    cloud = ParryDensity(PHI).sample(10_000, 11)
+    ys = np.sort(cloud[(cloud >= c) & (cloud <= d)])
+    mass = len(ys) / len(cloud)
+    bound = (2 * _NUFFT_ERROR + _NUFFT_ERROR**2) * mass**2
+    bound += 2 * mass * _rounding(ys, m, PHI_F) / len(cloud)
+    q = max(256, min(4 * m, 32768))
+    for passes in (q, 2 * q):
+        fast = _lhs_quadrature_cloud(ys, len(cloud), m, PHI_F, passes)
+        assert abs(fast - _direct_lhs(ys, len(cloud), m, PHI_F, passes)) <= bound
+
+
+def test_window_sums_of_a_point_mass():
+    # zero cloud width: G is the constant len(ys) in modulus
+    assert np.allclose(_window_sums(np.full(7, 0.3), 64, 2.0, 256), 7.0, rtol=1e-13)
 
 
 # -- mean profile ----------------------------------------------------------------------
