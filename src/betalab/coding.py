@@ -23,7 +23,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .exactnum import ln_bounds
 from .precision import UndeterminedValue
@@ -262,6 +261,9 @@ class CodedProcess:
         self.W = params.span if W is None else int(W)
         if self.W < 1:
             raise ValueError("window must be >= 1")
+        if self.W > 63:
+            # the bucket key holds one R bit per past coordinate in an int64
+            raise ValueError("window must be <= 63")
 
     @property
     def span(self) -> int:
@@ -274,11 +276,16 @@ class CodedProcess:
         R = np.zeros((n, out), dtype=bool)
         l = self.params.alphabet_size
         for s in self.params.stages:
-            pw = l ** np.arange(s.depth - 1, -1, -1)
-            codes = sliding_window_view(digits, s.depth, axis=1) @ pw
+            # codes of the words starting at columns 0..out+window-1, by Horner
+            # over shifted column slices, in the narrowest signed type that
+            # holds -l**depth, so every code and partial code*l fits
+            nc = out + s.window
+            codes = digits[:, :nc].astype(np.min_scalar_type(-(l**s.depth)))
+            for i in range(1, s.depth):
+                codes = codes * l + digits[:, i : i + nc]
             occ = codes < s.count
-            hit = sliding_window_view(occ, s.window + 1, axis=1).any(axis=2)
-            R |= hit[:, :out]
+            for j in range(s.window + 1):
+                R |= occ[:, j : j + out]
         return R
 
     def exact_marginal(self) -> Fraction:
@@ -323,6 +330,15 @@ class NearDiagonalEstimate:
         }
 
 
+def _batch_means(hits: np.ndarray) -> tuple:
+    """(mean, standard error) of 0/1 pair hits, the error by batch means over
+    _GROUPS consecutive groups."""
+    if len(hits) < _GROUPS:
+        raise ValueError(f"{len(hits)} pairs cannot fill {_GROUPS} batch groups; need >= {_GROUPS}")
+    means = np.array([np.mean(g) for g in np.array_split(hits, _GROUPS)])
+    return float(np.mean(hits)), float(np.std(means, ddof=1) / math.sqrt(_GROUPS))
+
+
 def estimate_near_diagonal(
     proc: CodedProcess,
     stage: int,
@@ -355,7 +371,9 @@ def estimate_near_diagonal(
     seg_len = W + span - 1
     digits = rng.integers(0, l, (pool, seg_len), dtype=np.int8)
     R_past = proc._r_values(digits)  # width W: R_{-W+1}..R_0
-    eta = R_past @ (1 << np.arange(W, dtype=np.int64))
+    eta = np.zeros(pool, dtype=np.int64)
+    for j in range(W):
+        eta |= R_past[:, j].astype(np.int64) << j
     overlap = digits[:, W:]  # coords 1..span-1, feed the future digits
 
     # bucket by window; consecutive entries of a shuffled order are i.i.d.
@@ -381,11 +399,7 @@ def estimate_near_diagonal(
         R_fut = proc._r_values(mat)  # width F: R_1..R_F
         xs.append(R_fut @ pow2)
     hits = (np.abs(xs[0] - xs[1]) < 1.0 / n_scale).astype(float)
-    est = float(np.mean(hits))
-    g = min(_GROUPS, take)
-    groups = np.array_split(hits, g)
-    means = np.array([np.mean(gr) for gr in groups])
-    se = float(np.std(means, ddof=1) / math.sqrt(g)) if g > 1 else 0.0
+    est, se = _batch_means(hits)
     return NearDiagonalEstimate(
         estimate=est,
         std_err=se,
@@ -406,11 +420,11 @@ def control_near_diagonal(
         x = rng.random(pair_samples)
         y = rng.random(pair_samples)
         hits = (np.abs(x - y) < 1.0 / n).astype(float)
-        means = np.array([np.mean(g) for g in np.array_split(hits, _GROUPS)])
+        est, se = _batch_means(hits)
         out.append(
             NearDiagonalEstimate(
-                estimate=float(np.mean(hits)),
-                std_err=float(np.std(means, ddof=1) / math.sqrt(_GROUPS)),
+                estimate=est,
+                std_err=se,
                 scale=int(n),
                 n_pairs=pair_samples,
                 floor=0.25 / math.log(n) ** 4,

@@ -212,6 +212,15 @@ def test_selfsim_smoke(tmp_path):
     assert rows[0] == "xi,abs_mu_hat" and len(rows) == 1 + 512
 
 
+def test_counterexample_at_default_flags_is_reproducible(tmp_path):
+    d1, d2 = str(tmp_path / "a"), str(tmp_path / "b")
+    assert main(["counterexample", "--seed", "3", "--out", d1]) == 0
+    assert main(["counterexample", "--seed", "3", "--out", d2]) == 0
+    assert _json(d1, "counterexample.json")["all_floors_met"] is True
+    for name in ("counterexample.json", "counterexample.csv", "counterexample_manifest.json"):
+        assert _bytes(d1, name) == _bytes(d2, name), name
+
+
 def test_conditions_artifacts(tmp_path):
     d = str(tmp_path)
     rc = main(["conditions", "--iid", "7/10,3/10", "--m-max", "6", "--out", d])
@@ -235,6 +244,22 @@ def test_exit_usage(tmp_path, capsys):
     # outside the closed-form regime: a domain error, not a crash
     assert main(["exponent", "--alpha", "2", "--beta", "2", "--grid", "0", "--out", d]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        # one R bit per past coordinate must fit the int64 bucket key
+        (("--window", "64"), "window must be <= 63"),
+        # batch-means error over 25 groups; fewer pairs would write NaN
+        (("--pairs", "10"), "cannot fill 25 batch groups"),
+    ],
+)
+def test_counterexample_rejects_bad_window_and_pairs(tmp_path, capsys, flags, message):
+    d = str(tmp_path)
+    assert main(["counterexample", "--seed", "3", *flags, "--out", d]) == 1
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(d, "counterexample.json"))
 
 
 @pytest.mark.parametrize(

@@ -4,10 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from betalab.coding import (
     CodedProcess,
+    ConstructionParams,
     NearDiagonalEstimate,
+    Stage,
     build_schedule,
     condition_violation_report,
     control_near_diagonal,
@@ -71,6 +76,51 @@ def _brute_marginal(proc: CodedProcess) -> Fraction:
     return Fraction(hits, l**span)
 
 
+def _sliding_window_r_values(proc: CodedProcess, digits: np.ndarray) -> np.ndarray:
+    """R by strided windows: int64 codes of every depth-word by one matmul,
+    then an any() over each window of window+1 occurrences."""
+    n, length = digits.shape
+    out = length - proc.span + 1
+    R = np.zeros((n, out), dtype=bool)
+    l = proc.params.alphabet_size
+    for s in proc.params.stages:
+        pw = l ** np.arange(s.depth - 1, -1, -1)
+        codes = sliding_window_view(digits, s.depth, axis=1) @ pw
+        occ = codes < s.count
+        hit = sliding_window_view(occ, s.window + 1, axis=1).any(axis=2)
+        R |= hit[:, :out]
+    return R
+
+
+@st.composite
+def _processes_and_digits(draw):
+    l = draw(st.sampled_from((3, 4, 5)))
+    stages = []
+    for _ in range(draw(st.integers(1, 3))):
+        # depths up to 20 reach every code type, int8 to int64
+        depth = draw(st.integers(1, 20))
+        count = draw(st.integers(1, l**depth - 1))
+        window = draw(st.integers(0, 6))
+        stages.append(Stage(n=2, window=window, depth=depth, count=count,
+                            y_mass=Fraction(count, l**depth), ycal_mass=Fraction(0)))
+    proc = CodedProcess(ConstructionParams(l, Fraction(1, 4), tuple(stages)))
+    width = proc.span + draw(st.integers(0, 20))
+    rows = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    digits = np.random.default_rng(seed).integers(0, l, (rows, width), dtype=np.int8)
+    return proc, digits
+
+
+@given(_processes_and_digits())
+def test_r_values_match_sliding_windows(case):
+    proc, digits = case
+    got = proc._r_values(digits)
+    want = _sliding_window_r_values(proc, digits)
+    assert got.dtype == want.dtype == bool
+    assert got.shape == want.shape == (len(digits), digits.shape[1] - proc.span + 1)
+    assert np.array_equal(got, want)
+
+
 def test_exact_marginal_against_enumeration():
     p = build_schedule(3, Fraction(1, 4), 1)
     proc = CodedProcess(p)
@@ -123,6 +173,26 @@ def test_near_diagonal_rejects_short_window():
         estimate_near_diagonal(proc, 2, pair_samples=1000)
     with pytest.raises(ValueError):
         estimate_near_diagonal(CodedProcess(p), 3, pair_samples=1000)
+
+
+def test_window_longer_than_the_key_is_rejected():
+    p = build_schedule(3, Fraction(1, 4), 1)
+    assert CodedProcess(p, W=63).W == 63
+    for W in (0, 64):
+        with pytest.raises(ValueError, match="window must be"):
+            CodedProcess(p, W=W)
+
+
+def test_fewer_pairs_than_batch_groups_are_rejected():
+    p = build_schedule(3, Fraction(1, 4), 1)
+    with pytest.raises(ValueError, match="25 batch groups"):
+        estimate_near_diagonal(CodedProcess(p), 1, pair_samples=24, seed=1)
+    with pytest.raises(ValueError, match="25 batch groups"):
+        control_near_diagonal((4,), pair_samples=24, seed=1)
+    e = estimate_near_diagonal(CodedProcess(p), 1, pair_samples=25, seed=1)
+    assert e.n_pairs == 25 and math.isfinite(e.std_err)
+    (c,) = control_near_diagonal((4,), pair_samples=25, seed=1)
+    assert math.isfinite(c.std_err)
 
 
 def test_control_polynomial_envelope():
