@@ -23,21 +23,6 @@ from .precision import (
     orbit_with_digits,
 )
 
-__all__ = [
-    "BExpansion",
-    "NumberClass",
-    "AdmissibilityRule",
-    "AdmissibilityResult",
-    "greedy_expansion",
-    "expansion_of_one",
-    "classify",
-    "admissibility_rule",
-    "is_admissible",
-    "specification_constants",
-    "SpecConstants",
-    "format_digits",
-]
-
 
 def format_digits(digits) -> str:
     """Comma-free decimal string when every digit fits one character."""

@@ -111,32 +111,25 @@ def parse_point(text: str):
     return val
 
 
-def _int_list(text: str) -> tuple:
-    try:
-        vals = tuple(int(t) for t in text.split(",") if t.strip())
-    except ValueError:
-        raise UsageError(f"bad integer list {text!r}")
-    if not vals:
-        raise UsageError("empty integer list")
-    return vals
-
-
-def _float_list(text: str) -> tuple:
-    try:
-        vals = tuple(float(t) for t in text.split(",") if t.strip())
-    except ValueError:
-        raise UsageError(f"bad number list {text!r}")
+def _number_list(text: str, kind) -> tuple:
+    """Comma-separated numbers, each read by kind (int, float or Fraction)."""
+    vals = []
+    for t in text.split(","):
+        if t.strip():
+            try:
+                vals.append(kind(t))
+            except (ValueError, ZeroDivisionError):
+                raise UsageError(f"bad number list {text!r}: {t.strip()!r}") from None
     if not vals:
         raise UsageError("empty number list")
-    return vals
+    return tuple(vals)
 
 
 def _make_source(args):
     if getattr(args, "source", None):
         return load_source(args.source)
     if getattr(args, "iid", None):
-        probs = [Fraction(t.strip()) for t in args.iid.split(",") if t.strip()]
-        return iid_source(probs)
+        return iid_source(_number_list(args.iid, Fraction))
     raise UsageError("need --iid or --source")
 
 
@@ -186,11 +179,7 @@ class Workspace:
     def write_manifest(self, args: argparse.Namespace) -> None:
         import betalab
 
-        recorded = {
-            k: (str(v) if isinstance(v, Fraction) else v)
-            for k, v in sorted(vars(args).items())
-            if k not in ("func", "out")
-        }
+        recorded = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out")}
         manifest = {
             "command": self.command,
             "args": recorded,
@@ -313,7 +302,7 @@ def cmd_orbit(args, ws: Workspace) -> int:
 def cmd_weyl(args, ws: Workspace) -> int:
     b = parse_beta(args.beta)
     x = parse_point(args.x)
-    ms = _int_list(args.m)
+    ms = _number_list(args.m, int)
     n = args.N
     cps = tuple(sorted({max(1, n // 4), max(1, n // 2), n}))
     series = weyl_sums(b, x, cps, ms, digits_required=args.digits_required)
@@ -340,7 +329,7 @@ def cmd_weyl(args, ws: Workspace) -> int:
 def cmd_decay(args, ws: Workspace) -> int:
     b = parse_beta(args.beta)
     src = _make_source(args)
-    ms = _int_list(args.ms)
+    ms = _number_list(args.ms, int)
     prof = mean_decay_profile(
         src,
         b,
@@ -410,8 +399,8 @@ def cmd_lemma32(args, ws: Workspace) -> int:
     mu = _lemma32_measure(args, b)
     configs = []
     violations = 0
-    for m in _int_list(args.m):
-        for r in _float_list(args.r):
+    for m in _number_list(args.m, int):
+        for r in _number_list(args.r, float):
             res = lemma32_check(
                 mu,
                 args.c,
@@ -558,7 +547,7 @@ def cmd_counterexample(args, ws: Workspace) -> int:
             [e.scale for e in estimates], pair_samples=args.pairs, seed=args.seed
         )
     report = condition_violation_report(
-        proc, estimates, beta_probes=_float_list(args.beta_probes), control=control
+        proc, estimates, beta_probes=_number_list(args.beta_probes, float), control=control
     )
     payload = {
         "schedule": params.to_dict(),
@@ -740,7 +729,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DescriptorError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InvariantViolation as exc:

@@ -27,28 +27,16 @@ import numpy as np
 from .exactnum import ln_bounds
 from .precision import UndeterminedValue
 
-__all__ = [
-    "Stage",
-    "ConstructionParams",
-    "build_schedule",
-    "CodedProcess",
-    "NearDiagonalEstimate",
-    "estimate_near_diagonal",
-    "control_near_diagonal",
-    "fit_polynomial_envelope",
-    "ViolationReport",
-    "condition_violation_report",
-]
-
 _GROUPS = 25  # batch groups for Monte-Carlo standard errors
 
 
-def _certify(n: int, pred_lo, pred_hi, bits: int = 128):
-    """Evaluate a predicate of ln(n) with enclosures, doubling until decided."""
+def _certify(n: int, pred, bits: int = 128):
+    """Evaluate a monotone predicate of ln(n) at both ends of its enclosure,
+    doubling the bits until the two agree."""
     while True:
         lo, hi = ln_bounds(n, bits)
-        below, above = pred_lo(lo), pred_hi(hi)
-        if below == above:
+        below = pred(lo)
+        if below == pred(hi):
             return below
         bits *= 2
         if bits > 1 << 14:
@@ -57,7 +45,7 @@ def _certify(n: int, pred_lo, pred_hi, bits: int = 128):
 
 def _ln_gt(n: int, q: Fraction) -> bool:
     # ln(n) > q; ln of an integer >= 2 is irrational so this always decides
-    return _certify(n, lambda lo: lo > q, lambda hi: hi > q)
+    return _certify(n, lambda ln: ln > q)
 
 
 def _floor_ln(n: int) -> int:
@@ -69,13 +57,10 @@ def _floor_ln(n: int) -> int:
     return guess
 
 
-def _ln_sq_window(n: int, mass: Fraction) -> bool:
-    """Certified 0.5 ln(n)^-2 < mass < ln(n)^-2."""
-    lower = _certify(
-        n, lambda lo: mass * lo * lo > Fraction(1, 2), lambda hi: mass * hi * hi > Fraction(1, 2)
-    )
-    upper = _certify(n, lambda lo: mass * lo * lo < 1, lambda hi: mass * hi * hi < 1)
-    return lower and upper
+def _mass_ln_sq_above(n: int, mass: Fraction, edge: Fraction | int) -> bool:
+    """Certified mass * ln(n)^2 > edge; ln(n)^2 is irrational, so no edge is
+    ever a tie."""
+    return _certify(n, lambda ln: mass * ln * ln > edge)
 
 
 @dataclass(frozen=True)
@@ -215,17 +200,14 @@ def build_schedule(l: int, epsilon, K: int) -> ConstructionParams:
             found = None
             for m in range(1, 41):
                 gran = l**m
-                # smallest count certifiably above the lower edge
+                # smallest count certifiably above the lower edge, kept if
+                # it also stays below the upper edge
                 c = 1
-                while not _certify(
-                    n,
-                    lambda lo_: Fraction(c, gran) * lo_ * lo_ > Fraction(1, 2),
-                    lambda hi_: Fraction(c, gran) * hi_ * hi_ > Fraction(1, 2),
-                ):
+                while not _mass_ln_sq_above(n, Fraction(c, gran), Fraction(1, 2)):
                     c += 1
                     if c >= gran:
                         break
-                if c < gran and _ln_sq_window(n, Fraction(c, gran)):
+                if c < gran and not _mass_ln_sq_above(n, Fraction(c, gran), 1):
                     found = (m, c)
                     break
             if found is None:
@@ -311,8 +293,12 @@ class NearDiagonalEstimate:
     std_err: float
     scale: int
     n_pairs: int
-    floor: float  # 0.25 ln(scale)^-4, the bound being probed
     window: int  # past window actually used
+
+    @property
+    def floor(self) -> float:
+        """0.25 ln(scale)^-4, the bound being probed."""
+        return 0.25 / math.log(self.scale) ** 4
 
     @property
     def meets_floor(self) -> bool:
@@ -330,11 +316,15 @@ class NearDiagonalEstimate:
         }
 
 
+def _check_groups(n_pairs: int) -> None:
+    if n_pairs < _GROUPS:
+        raise ValueError(f"{n_pairs} pairs cannot fill {_GROUPS} batch groups; need >= {_GROUPS}")
+
+
 def _batch_means(hits: np.ndarray) -> tuple:
     """(mean, standard error) of 0/1 pair hits, the error by batch means over
     _GROUPS consecutive groups."""
-    if len(hits) < _GROUPS:
-        raise ValueError(f"{len(hits)} pairs cannot fill {_GROUPS} batch groups; need >= {_GROUPS}")
+    _check_groups(len(hits))
     means = np.array([np.mean(g) for g in np.array_split(hits, _GROUPS)])
     return float(np.mean(hits)), float(np.std(means, ddof=1) / math.sqrt(_GROUPS))
 
@@ -363,6 +353,9 @@ def estimate_near_diagonal(
     n_scale = st.n
     if n_scale < 2:
         raise ValueError("scale must be >= 2")
+    _check_groups(pair_samples)
+    if past_samples is not None and past_samples < 1:
+        raise ValueError(f"past_samples must be >= 1, got {past_samples}")
     rng = np.random.default_rng(seed)
     l = params.alphabet_size
     span = proc.span
@@ -405,7 +398,6 @@ def estimate_near_diagonal(
         std_err=se,
         scale=n_scale,
         n_pairs=take,
-        floor=0.25 / math.log(n_scale) ** 4,
         window=W,
     )
 
@@ -414,6 +406,7 @@ def control_near_diagonal(
     scales: Sequence[int], pair_samples: int = 10**5, seed: int = 0
 ) -> list:
     """Same pair statistic for i.i.d. uniform [0,1): the polynomial baseline."""
+    _check_groups(pair_samples)
     rng = np.random.default_rng(seed)
     out = []
     for n in scales:
@@ -427,7 +420,6 @@ def control_near_diagonal(
                 std_err=se,
                 scale=int(n),
                 n_pairs=pair_samples,
-                floor=0.25 / math.log(n) ** 4,
                 window=0,
             )
         )

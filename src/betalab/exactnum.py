@@ -16,25 +16,24 @@ from math import isqrt
 RationalLike = int | Fraction
 
 
-def round_down(x: Fraction, bits: int) -> Fraction:
-    """Largest dyadic p/2^bits <= x."""
-    p = (x.numerator << bits) // x.denominator
-    return Fraction(p, 1 << bits)
-
-
-def round_up(x: Fraction, bits: int) -> Fraction:
-    """Smallest dyadic p/2^bits >= x."""
-    p = -((-x.numerator << bits) // x.denominator)
-    return Fraction(p, 1 << bits)
-
-
 def scaled_floor(x: Fraction, bits: int) -> int:
     """floor(x * 2^bits) as an integer (mantissa of round_down)."""
     return (x.numerator << bits) // x.denominator
 
 
 def scaled_ceil(x: Fraction, bits: int) -> int:
+    """ceil(x * 2^bits) as an integer (mantissa of round_up)."""
     return -((-x.numerator << bits) // x.denominator)
+
+
+def round_down(x: Fraction, bits: int) -> Fraction:
+    """Largest dyadic p/2^bits <= x."""
+    return Fraction(scaled_floor(x, bits), 1 << bits)
+
+
+def round_up(x: Fraction, bits: int) -> Fraction:
+    """Smallest dyadic p/2^bits >= x."""
+    return Fraction(scaled_ceil(x, bits), 1 << bits)
 
 
 def sqrt_bounds(x: RationalLike, bits: int) -> tuple[Fraction, Fraction]:

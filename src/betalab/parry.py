@@ -15,7 +15,7 @@ b^(-n) over r_n > x; all of them change only where a probe passes an orbit
 point.  So each term is added once per sweep in exact Fraction arithmetic,
 not once per probe, and each CDF row is one correctly rounded int / int
 division.  On b = 2.2 at tol 1e-10 (34 terms) a 512-point grid takes about
-0.2 s instead of 8 s row by row (one core of a 2-vCPU VM, Python 3.11).  density_at is the sweep at one
+0.2 s (one core of a 2-vCPU VM, Python 3.11).  density_at is the sweep at one
 probe and interval_mass(u, v) is M(v) - M(u) over Z, from the same kernel.
 """
 
@@ -35,12 +35,6 @@ from .precision import (
     PrecisionExhausted,
     orbit_with_digits,
 )
-
-__all__ = [
-    "ParryDensity",
-    "FourierCoefficient",
-    "preimage_of_interval",
-]
 
 _ONE = Enclosure(Fraction(1), Fraction(1), exact=Fraction(1))
 
@@ -131,10 +125,14 @@ class ParryDensity:
 
     # -- series bookkeeping -------------------------------------------------
 
-    def _set_orbit(self, pts: list[Enclosure]) -> None:
+    def _compute_orbit(self, n_steps: int) -> None:
+        """Recompute r_1 .. r_n_steps at self.digits_required."""
+        pts, _, _ = orbit_with_digits(
+            self.base, Fraction(1), n_steps, digits_required=self.digits_required
+        )
         # a recomputed prefix changes earlier enclosures, so Z is summed again
         self._z.clear()
-        self._orbit = [_ONE] + list(pts)
+        self._orbit = [_ONE] + pts
         for i, p in enumerate(self._orbit):
             if p.is_certified_zero():
                 self._zero_from = i
@@ -147,10 +145,7 @@ class ParryDensity:
             return
         if len(self._orbit) >= n_terms:
             return
-        pts, _, _ = orbit_with_digits(
-            self.base, Fraction(1), n_terms - 1, digits_required=self.digits_required
-        )
-        self._set_orbit(pts)
+        self._compute_orbit(n_terms - 1)
 
     def _powers(self, n: int) -> None:
         while len(self._pow_lo) <= n:
@@ -196,13 +191,7 @@ class ParryDensity:
             if self.digits_required >= 400:
                 raise PrecisionExhausted(f"probe x = {x} sits on orbit point r_{n}")
             self.digits_required *= 2
-            pts, _, _ = orbit_with_digits(
-                self.base,
-                Fraction(1),
-                max(len(self._orbit) - 1, n, 1),
-                digits_required=self.digits_required,
-            )
-            self._set_orbit(pts)
+            self._compute_orbit(max(len(self._orbit) - 1, n, 1))
             if n >= len(self._orbit):
                 # refinement certified an earlier zero, so r_n = 0 <= x
                 return 1
@@ -312,7 +301,7 @@ class ParryDensity:
         for n, r in enumerate(pre):
             w_lo, w_hi = self._weight(n)
             w_mid = float((w_lo + w_hi) / 2)
-            rn = float(r.midpoint())
+            rn = float(r)
             s += w_mid * (cmath.exp(two_pi_im * rn) - 1.0) / two_pi_im
             # |d/dr (e(mr)-1)/(2 pi i m)| = 1, so enclosure width passes straight through
             width_err += w_mid * float(r.width) + float(w_hi - w_lo) / (math.pi * abs(m))
@@ -329,10 +318,10 @@ class ParryDensity:
         """Piecewise-linear normalized CDF: knot abscissae and F values."""
         n_terms = self.terms_for(Fraction(tol))
         pre = self.prefix(n_terms)
-        rs = sorted({float(r.midpoint()) for r in pre} | {0.0, 1.0})
+        rs = sorted({float(r) for r in pre} | {0.0, 1.0})
         xs = np.array([r for r in rs if 0.0 <= r <= 1.0])
         w_mid = np.array([float(sum(self._weight(n)) / 2) for n in range(len(pre))])
-        r_mid = np.array([float(r.midpoint()) for r in pre])
+        r_mid = np.array([float(r) for r in pre])
         heights = np.array([
             float(w_mid[r_mid > 0.5 * (xs[j] + xs[j + 1])].sum())
             for j in range(len(xs) - 1)

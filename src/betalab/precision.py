@@ -114,6 +114,13 @@ class PrecisionBudget:
         return cls(initial_bits=need, max_bits=need * 64)
 
 
+def _exact_bounds(value: ExactValue, bits: int) -> tuple[Fraction, Fraction]:
+    """Enclosure of an exact value rounded outward to `bits` fractional bits."""
+    if isinstance(value, Quadratic):
+        return value.bounds(bits)
+    return round_down(value, bits), round_up(value, bits)
+
+
 class DescriptorError(ValueError):
     """Malformed or out-of-range base descriptor."""
 
@@ -142,9 +149,7 @@ class BetaNumber:
 
     def bounds(self, bits: int) -> tuple[Fraction, Fraction]:
         """Enclosure rounded outward to `bits` fractional bits."""
-        if self.kind == "quadratic":
-            return self._value.bounds(bits)
-        return round_down(self._value, bits), round_up(self._value, bits)
+        return _exact_bounds(self._value, bits)
 
     def scaled_bounds(self, bits: int) -> tuple[int, int]:
         """Integer mantissas (lo, hi) at scale 2^-bits."""
@@ -221,17 +226,16 @@ def parse_beta(text: str) -> BetaNumber:
         bits = int(literal.group(2) or bits)
         if bits < 4:
             raise DescriptorError("precision request below 4 bits")
-        lo, hi = round_down(value, bits), round_up(value, bits)
+        lo, hi = _exact_bounds(value, bits)
         flo = math.floor(lo)
         if flo != math.floor(hi):
             raise DescriptorError(f"enclosure of {s!r} straddles an integer at {bits} bits")
         cb = flo if lo == hi == flo else flo + 1
         return BetaNumber("bigfloat", s, bits, lo, hi, flo, cb, value)
+    lo, hi = _exact_bounds(value, bits)
     fb = math.floor(value)
     if isinstance(value, Quadratic):
-        lo, hi = value.bounds(bits)
         return BetaNumber("quadratic", s, bits, lo, hi, fb, fb + 1, value)
-    lo, hi = round_down(value, bits), round_up(value, bits)
     return BetaNumber("rational", s, bits, lo, hi, fb, math.ceil(value), value)
 
 
@@ -278,26 +282,19 @@ def tb_apply(b: BetaNumber, x: Enclosure) -> tuple[Enclosure, int]:
 _EXACT_PATH_CUTOFF = 5000
 
 
-def _coerce_seed(x0: object) -> ExactValue | Enclosure:
-    if isinstance(x0, (Enclosure, Quadratic)):
-        return x0
-    if isinstance(x0, (int, float, Fraction)):
-        return Fraction(x0)
-    raise TypeError(f"unsupported orbit seed {type(x0).__name__}")
-
-
-def _seed_bounds(seed: ExactValue | Enclosure) -> tuple[Fraction, Fraction, ExactValue | None]:
-    if isinstance(seed, Enclosure):
-        return seed.lo, seed.hi, seed.exact
-    if isinstance(seed, Quadratic):
-        lo, hi = seed.bounds(128)
-        return lo, hi, seed
-    return seed, seed, seed
-
-
-def _check_seed_range(lo: Fraction, hi: Fraction) -> None:
+def _seed_bounds(x0: object) -> tuple[Fraction, Fraction, ExactValue | None]:
+    """(lo, hi, exact value or None) of an orbit seed in [0, 1]."""
+    if isinstance(x0, Enclosure):
+        lo, hi, exact = x0.lo, x0.hi, x0.exact
+    elif isinstance(x0, Quadratic):
+        (lo, hi), exact = x0.bounds(128), x0
+    elif isinstance(x0, (int, float, Fraction)):
+        lo = hi = exact = Fraction(x0)
+    else:
+        raise TypeError(f"unsupported orbit seed {type(x0).__name__}")
     if lo < 0 or hi > 1:
         raise ValueError("orbit seed must lie in [0, 1]")
+    return lo, hi, exact
 
 
 def _exact_orbit(
@@ -313,11 +310,7 @@ def _exact_orbit(
         digits.append(k)
         if isinstance(x, Quadratic) and x.v == 0:
             x = x.u  # fall back to plain rationals once the sqrt part cancels
-        if isinstance(x, Quadratic):
-            lo, hi = x.bounds(out_bits)
-        else:
-            lo, hi = round_down(x, out_bits), round_up(x, out_bits)
-        points.append(Enclosure(lo, hi, exact=x))
+        points.append(Enclosure(*_exact_bounds(x, out_bits), exact=x))
     return points, digits
 
 
@@ -534,9 +527,7 @@ def _certified_orbit(
         raise ValueError("n_steps must be >= 1")
     if method not in ("auto", "interval", "exact"):
         raise ValueError(f"unknown orbit method {method!r}")
-    seed = _coerce_seed(x0)
-    lo0, hi0, seed_exact = _seed_bounds(seed)
-    _check_seed_range(lo0, hi0)
+    lo0, hi0, seed_exact = _seed_bounds(x0)
     b_exact = b.exact_value()
     out_bits = math.ceil(digits_required * math.log2(10)) + 4
 

@@ -24,21 +24,6 @@ import numpy as np
 
 from .precision import BetaNumber
 
-__all__ = [
-    "SelfSimilarMeasure",
-    "ssm_fourier",
-    "ssm_fourier_many",
-    "ssm_selfsim_residual",
-    "ssm_sample",
-    "SingularityWitness",
-    "singularity_witness",
-    "InvarianceCheck",
-    "ssm_invariance_check",
-    "DecayWindows",
-    "ssm_decay_profile",
-    "uniform_grid",
-]
-
 TWO_PI = 2.0 * math.pi
 _SAMPLE_DEPTH = 64  # digits per sample
 _EDGE_EPS = 1e-9  # float slack on cylinder edges in the singularity witness
@@ -125,6 +110,8 @@ def ssm_selfsim_residual(m: SelfSimilarMeasure, xi: float) -> float:
 
 def ssm_sample(m: SelfSimilarMeasure, n: int, seed: int = 0) -> np.ndarray:
     """n draws of sum_{i<=64} w_i b^-i; truncation <= b^-64/(b-1)."""
+    if n < 1:
+        raise ValueError("need n >= 1 samples")
     rng = np.random.default_rng(seed)
     weights = m.b ** -np.arange(1, _SAMPLE_DEPTH + 1, dtype=float)
     out = np.zeros(n, dtype=float)
@@ -159,7 +146,7 @@ def singularity_witness(
     if m.base.lo <= 2.0:
         raise ValueError("need b > 2: no gaps at or below 2")
     b = m.b
-    sup = 1.0 / (b - 1.0)
+    sup = m.attractor_sup
     total = (2.0 / b) ** level / (b - 1.0)
     x = np.asarray(samples, dtype=float).copy()
     ok = (x >= -_EDGE_EPS) & (x <= sup + _EDGE_EPS)
@@ -206,7 +193,6 @@ def ssm_invariance_check(
     pts.sort()
     n = pts.size
     b = m.b
-    ceil_b = int(math.ceil(b - 1e-12))
 
     def mass(u: float, v: float) -> float:
         return (np.searchsorted(pts, v, "left") - np.searchsorted(pts, u, "left")) / n
@@ -217,7 +203,7 @@ def ssm_invariance_check(
     for (u, v) in grid:
         ma = mass(u, v)
         mp = 0.0
-        for k in range(ceil_b):
+        for k in range(m.base.ceil_b):
             pu, pv = (k + u) / b, (k + v) / b
             pu, pv = max(pu, 0.0), min(pv, 1.0)
             if pu < pv:

@@ -18,24 +18,6 @@ from fractions import Fraction
 
 import numpy as np
 
-__all__ = [
-    "MarkovSource",
-    "ConditionalMeasure",
-    "GridMass",
-    "ConditionEstimates",
-    "iid_source",
-    "stationary_distribution",
-    "conditional_measure",
-    "ess_sup_interval_mass",
-    "near_diagonal_mass",
-    "fit_condition_exponents",
-    "chain_entropy",
-    "sample_digits",
-    "sample_point",
-    "source_from_dict",
-    "source_to_dict",
-]
-
 Context = tuple[int, ...]
 
 
@@ -48,7 +30,10 @@ class MarkovSource:
         if order < 0:
             raise ValueError("order must be >= 0")
         n_contexts = alphabet_size**order
-        rows = [tuple(Fraction(p) for p in row) for row in rows]
+        try:
+            rows = [tuple(Fraction(p) for p in row) for row in rows]
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in a transition entry") from None
         if len(rows) != n_contexts:
             raise ValueError(f"expected {n_contexts} transition rows, got {len(rows)}")
         for row in rows:
@@ -156,13 +141,11 @@ def conditional_measure(src: MarkovSource, context) -> ConditionalMeasure:
 
 @dataclass(frozen=True)
 class GridMass:
-    """Condition estimate at one scale; covering=True marks the <=2-cylinder
-    covering bound used when k is not a power of the alphabet size."""
+    """Condition estimate at one scale."""
 
     k: int
     depth: int
     value: Fraction
-    covering: bool
 
 
 def _depth_for(src: MarkovSource, k: int) -> tuple[int, bool]:
@@ -198,7 +181,7 @@ def ess_sup_interval_mass(src: MarkovSource, k: int) -> GridMass:
     best = max(v)
     if covering:
         best = min(Fraction(1), 2 * best)
-    return GridMass(k=k, depth=m, value=best, covering=covering)
+    return GridMass(k=k, depth=m, value=best)
 
 
 def near_diagonal_mass(src: MarkovSource, k: int) -> GridMass:
@@ -236,7 +219,7 @@ def near_diagonal_mass(src: MarkovSource, k: int) -> GridMass:
             break  # single context, nothing else to scan
     if covering:
         best = min(Fraction(1), 2 * best)
-    return GridMass(k=k, depth=m, value=best, covering=covering)
+    return GridMass(k=k, depth=m, value=best)
 
 
 @dataclass(frozen=True)

@@ -12,25 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .precision import BetaNumber, tb_orbit_floats
 from .sources import MarkovSource, fit_condition_exponents, sample_point
-
-__all__ = [
-    "WeylSeries",
-    "DecayProfile",
-    "Lemma32Result",
-    "weyl_sums",
-    "mean_decay_profile",
-    "predicted_exponent",
-    "optimize_exponent_grid",
-    "lemma32_check",
-    "invariance_defect",
-    "invariance_defects",
-    "multiplicatively_independent",
-]
 
 MAX_FREQUENCY = 1 << 20
 # a sample cloud with one value carrying more than this share of the mass is
@@ -105,6 +92,14 @@ def _checkpoint_means(cur: np.ndarray, cps: tuple[int, ...]) -> list[complex]:
     return [complex(tot[k] / cps[k]) for k in range(len(cps))]
 
 
+def _orbit_floats(b: BetaNumber, x0, n: int, digits_required: int) -> np.ndarray:
+    """x_0 = x0, x_1 .. x_n as floats."""
+    xs = np.empty(n + 1)
+    xs[0] = float(x0)
+    xs[1:] = tb_orbit_floats(b, x0, n, digits_required=digits_required)
+    return xs
+
+
 def weyl_sums(
     b: BetaNumber,
     x0,
@@ -120,9 +115,7 @@ def weyl_sums(
     if any(abs(m) > MAX_FREQUENCY for m in ms):
         raise ValueError(f"|m| capped at {MAX_FREQUENCY}")
     n_max = cps[-1]
-    xs = np.empty(n_max + 1)
-    xs[0] = float(x0) if not hasattr(x0, "midpoint") else float(x0.midpoint())
-    xs[1:] = tb_orbit_floats(b, x0, n_max, digits_required=digits_required)
+    xs = _orbit_floats(b, x0, n_max, digits_required)
     values = {}
     for m in ms:
         if m == 0:
@@ -152,7 +145,6 @@ class DecayProfile:
     proxy: str
     n_points: int
     checkpoints: tuple[int, ...]
-    seed: int
     independence: str  # "verified" or "asserted"
 
     def median_over(self, m_lo: int, m_hi: int) -> float:
@@ -169,10 +161,7 @@ def _sample_seed(seed: int, j: int) -> int:
 def _sample_maxima(src, b, ms, cps, n_points, digits, seed_j) -> np.ndarray:
     """Checkpoint-max |S(m)| along one mu-drawn orbit; picklable for pools."""
     x0 = sample_point(src, digits, seed_j)
-    xs = np.empty(n_points)
-    xs[0] = float(x0)
-    xs[1:] = tb_orbit_floats(b, x0, n_points - 1, digits_required=9)
-    z = np.exp(2j * math.pi * xs)
+    z = np.exp(2j * math.pi * _orbit_floats(b, x0, n_points - 1, 9))
     out = np.empty(len(ms))
     cur = None
     prev_m = None
@@ -226,28 +215,14 @@ def mean_decay_profile(
     cps = (max(1, n_points // 4), max(1, n_points // 2), n_points)
     digits = math.ceil(n_points * math.log(float(b.hi)) / math.log(a)) + 64
     seeds = [_sample_seed(seed, j) for j in range(samples)]
+    sample = partial(_sample_maxima, src, b, ms, cps, n_points, digits)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        from itertools import repeat
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(
-                    _sample_maxima,
-                    repeat(src),
-                    repeat(b),
-                    repeat(ms),
-                    repeat(cps),
-                    repeat(n_points),
-                    repeat(digits),
-                    seeds,
-                    chunksize=max(1, samples // (4 * workers)),
-                )
-            )
+            rows = list(pool.map(sample, seeds, chunksize=max(1, samples // (4 * workers))))
     else:
-        rows = [
-            _sample_maxima(src, b, ms, cps, n_points, digits, s) for s in seeds
-        ]
+        rows = [sample(s) for s in seeds]
     totals = np.sum(np.stack(rows), axis=0)
     values = {m: float(totals[i]) / samples for i, m in enumerate(ms)}
     pos = [m for m in ms if m > 0]
@@ -269,7 +244,6 @@ def mean_decay_profile(
         proxy=PROXY_NOTE,
         n_points=n_points,
         checkpoints=cps,
-        seed=seed,
         independence="verified" if indep else "asserted",
     )
 

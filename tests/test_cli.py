@@ -253,6 +253,9 @@ def test_exit_usage(tmp_path, capsys):
         (("--window", "64"), "window must be <= 63"),
         # batch-means error over 25 groups; fewer pairs would write NaN
         (("--pairs", "10"), "cannot fill 25 batch groups"),
+        # sizes are checked before any draw, not left to numpy's shape errors
+        (("--pairs", "-5"), "cannot fill 25 batch groups"),
+        (("--past", "-5"), "past_samples must be >= 1"),
     ],
 )
 def test_counterexample_rejects_bad_window_and_pairs(tmp_path, capsys, flags, message):
@@ -260,6 +263,33 @@ def test_counterexample_rejects_bad_window_and_pairs(tmp_path, capsys, flags, me
     assert main(["counterexample", "--seed", "3", *flags, "--out", d]) == 1
     assert message in capsys.readouterr().err
     assert not os.path.exists(os.path.join(d, "counterexample.json"))
+
+
+def test_zero_denominator_in_iid_is_a_usage_error(tmp_path, capsys):
+    d = str(tmp_path)
+    assert main(["conditions", "--iid", "1/0,1/2", "--out", d]) == 1
+    assert "usage error: bad number list '1/0,1/2': '1/0'" in capsys.readouterr().err
+    assert os.listdir(d) == []
+
+
+def test_zero_denominator_in_source_file_exits_1(tmp_path, capsys):
+    path = tmp_path / "source.json"
+    path.write_text(json.dumps({"alphabet_size": 2, "order": 0, "rows": [["1/0", "1/2"]]}))
+    d = str(tmp_path / "out")
+    assert main(["conditions", "--source", str(path), "--out", d]) == 1
+    assert "error: zero denominator" in capsys.readouterr().err
+    assert os.listdir(d) == []
+
+
+@pytest.mark.parametrize("level", ["0", "3"])
+def test_selfsim_without_samples_certifies_nothing(tmp_path, capsys, level):
+    # an empty cloud has no defect to bound and no coverage to report
+    d = str(tmp_path)
+    rc = main(["selfsim", "--beta", "2.2", "--xi-max", "1000", "--samples", "0",
+               "--level", level, "--out", d])
+    assert rc == 1
+    assert "need n >= 1 samples" in capsys.readouterr().err
+    assert os.listdir(d) == []
 
 
 @pytest.mark.parametrize(

@@ -23,10 +23,10 @@ from betalab.coding import (
 
 
 def test_schedule_first_stage_oracle():
-    # budget 1/2: smallest n with ln n > 2 is 8; with K = 1 and eps = 1/4 the
-    # budget is 1/(4*(1/4)) = 1... wait: stage thresholds derive from the
-    # remaining-mass split; the frozen values below were hand-checked once
-    # against the certified-log bisection and the exact transfer counts
+    # eps = 1/4 leaves the budget 3/4, so n is the smallest n with ln n > 4/3,
+    # which is 4, and the window is floor(ln 4) = 1.  The mass window
+    # (1/2, 1) / ln(4)^2 = (0.26, 0.52) first holds 1/3, at depth 1, and a
+    # word 0 at offset 0 or 1 has mass 1 - (2/3)^2 = 5/9
     p = build_schedule(3, Fraction(1, 4), 1)
     s = p.stages[0]
     assert (s.n, s.window, s.depth, s.count) == (4, 1, 1, 1)
@@ -43,6 +43,13 @@ def test_schedule_second_stage_oracle():
     assert p.ycal_total == Fraction(4682, 6561)
     assert p.ycal_total < Fraction(3, 4)
     assert p.span == 8
+
+
+def test_schedule_third_stage_oracle():
+    # the first stage that searches the certified mass window down to depth 7
+    s = build_schedule(3, Fraction(1, 4), 3).stages[2]
+    assert (s.n, s.window, s.depth, s.count) == (860369919145, 27, 7, 2)
+    assert s.y_mass == Fraction(2, 3**7)
 
 
 def test_schedule_epsilon_sensitivity():
@@ -217,7 +224,6 @@ def _fake_estimate(n, value):
         std_err=value / 100,
         scale=n,
         n_pairs=10**5,
-        floor=0.25 / math.log(n) ** 4,
         window=8,
     )
 

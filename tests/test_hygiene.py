@@ -1,6 +1,6 @@
 """Static checks on the package: numpy is its only dependency, no dead
-imports, no unreachable public names, and the benchmark's traced names still
-resolve.
+imports, no __all__ lists, no unreachable public names, and the benchmark's
+traced names still resolve.
 
 `bench/tracing.py` wraps the functions it lists in TRACED by name, so a
 renamed or deleted function would only show up as a crash of the traced
@@ -76,18 +76,26 @@ def _load_tracing():
 
 
 def _public_names(tree: ast.Module) -> list[str]:
-    """The module's __all__, or else its top-level functions and classes
-    whose names do not start with an underscore."""
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            return list(ast.literal_eval(node.value))
+    """Top-level functions and classes whose names do not start with an
+    underscore."""
     return [
         node.name
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
     ]
+
+
+def test_no_module_declares_all():
+    """A name is public by its spelling alone; the package root's imports are
+    the one export list, so no module keeps an __all__ that could drift."""
+    declaring = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        declaring += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Name) and node.id == "__all__" and isinstance(node.ctx, ast.Store)
+        ]
+    assert not declaring, declaring
 
 
 def _referenced(node: ast.AST) -> set[str]:

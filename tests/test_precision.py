@@ -188,6 +188,8 @@ def test_orbit_input_validation():
         orbit_with_digits(b, Fraction(1, 3), 0)
     with pytest.raises(ValueError):
         orbit_with_digits(b, Fraction(1, 3), 4, method="fancy")
+    with pytest.raises(TypeError, match="unsupported orbit seed str"):
+        orbit_with_digits(b, "1/3", 4)
 
 
 def test_budget_shape():

@@ -103,6 +103,11 @@ def test_sampler_mean_matches_moment():
     assert abs(float(np.mean(pts)) - 0.5 / 2.0) < 0.002
 
 
+def test_sampler_rejects_an_empty_cloud():
+    with pytest.raises(ValueError, match="need n >= 1"):
+        ssm_sample(B22, 0)
+
+
 def test_weights_are_not_determined_by_invariance():
     # two different weight vectors on the same maps: both exactly T_b-invariant
     # on the attractor, yet measurably different: uniqueness fails for the
