@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -64,6 +65,7 @@ from .sources import (
     source_to_dict,
 )
 from .weyl import (
+    _checkpoints,
     invariance_defects,
     lemma32_check,
     mean_decay_profile,
@@ -202,22 +204,10 @@ class Workspace:
 def cmd_classify(args, ws: Workspace) -> int:
     b = parse_beta(args.beta)
     nc = classify(b, args.depth)
-    payload = {
-        "beta": args.beta,
-        "verdict": nc.verdict,
-        "depth": nc.depth,
-        "hit_zero_at": nc.hit_zero_at,
-        "period": list(nc.period) if nc.period else None,
-        "max_zero_run": nc.max_zero_run,
-        "digits": list(nc.digits),
-        "digit_string": format_digits(nc.digits),
-    }
+    payload = {"beta": args.beta, **asdict(nc), "digit_string": format_digits(nc.digits)}
     if args.alphabet:
         sc = specification_constants(b, args.alphabet, args.depth)
-        payload["m_b_lower"] = str(sc.m_b_lower)
-        payload["m_b_lower_float"] = float(sc.m_b_lower)
-        payload["discontinuity_budget"] = sc.discontinuity_budget
-        payload["alphabet"] = args.alphabet
+        payload.update(asdict(sc), m_b_lower_float=float(sc.m_b_lower), alphabet=args.alphabet)
     ws.write_json(payload)
     ws.write_csv(("n", "digit"), list(enumerate(nc.digits)))
     return EXIT_OK
@@ -253,10 +243,9 @@ def cmd_parry(args, ws: Workspace) -> int:
     den = ParryDensity(b)
     rows = den.grid_rows(args.grid, tol=args.tol)
     z_lo, z_hi = den.normalizer(tol=args.tol)
-    fourier = []
-    for m in range(1, args.fourier + 1):
-        fc = den.fourier(m, tol=args.tol)
-        fourier.append({"m": m, "value": fc.value, "err": fc.err})
+    fourier = [
+        {"m": m, **asdict(den.fourier(m, tol=args.tol))} for m in range(1, args.fourier + 1)
+    ]
     ws.write_json(
         {
             "beta": args.beta,
@@ -304,7 +293,7 @@ def cmd_weyl(args, ws: Workspace) -> int:
     x = parse_point(args.x)
     ms = _number_list(args.m, int)
     n = args.N
-    cps = tuple(sorted({max(1, n // 4), max(1, n // 2), n}))
+    cps = _checkpoints(n)
     series = weyl_sums(b, x, cps, ms, digits_required=args.digits_required)
     rows = []
     for m in ms:
@@ -327,6 +316,8 @@ def cmd_weyl(args, ws: Workspace) -> int:
 
 
 def cmd_decay(args, ws: Workspace) -> int:
+    if args.N < 2:
+        raise UsageError(f"--N must be at least 2, got {args.N}")
     b = parse_beta(args.beta)
     src = _make_source(args)
     ms = _number_list(args.ms, int)
@@ -414,21 +405,7 @@ def cmd_lemma32(args, ws: Workspace) -> int:
             )
             bad = res.slack < -res.quad_error
             violations += bad
-            configs.append(
-                {
-                    "m": m,
-                    "r": r,
-                    "lhs": res.lhs,
-                    "rhs": res.rhs,
-                    "slack": res.slack,
-                    "quad_error": res.quad_error,
-                    "mass_cd": res.mass_cd,
-                    "near_mass": res.near_mass,
-                    "far_bound": res.far_bound,
-                    "nodes": res.nodes,
-                    "violated": bool(bad),
-                }
-            )
+            configs.append({"m": m, "r": r, **asdict(res), "violated": bool(bad)})
     ws.write_json(
         {
             "beta": args.beta,
@@ -498,23 +475,12 @@ def cmd_selfsim(args, ws: Workspace) -> int:
         "windows": [list(r) for r in prof.rows()],
         "fitted_c": prof.fitted_c,
         "invariance_defect": inv.max_defect,
-        "invariance": {
-            "max_defect": inv.max_defect,
-            "sigma_at_max": inv.sigma_at_max,
-            "within_budget": inv.within_budget,
-            "n_intervals": inv.n_intervals,
-            "n_samples": inv.n_samples,
-        },
+        "invariance": asdict(inv),
         "residual_max": residual,
     }
     if args.level > 0:
         cloud = ssm_sample(meas, args.samples, seed=args.seed)
-        w = singularity_witness(meas, cloud, args.level)
-        payload["witness"] = {
-            "level": w.level,
-            "coverage_fraction": w.coverage_fraction,
-            "total_length": w.total_length,
-        }
+        payload["witness"] = asdict(singularity_witness(meas, cloud, args.level))
     ws.write_json(payload)
     ws.write_csv(
         ("xi", "abs_mu_hat"),
@@ -573,7 +539,7 @@ def cmd_conditions(args, ws: Workspace) -> int:
     est = fit_condition_exponents(src, m_max=args.m_max)
     rows = [
         (ess.k, ess.depth, float(ess.value), float(near.value))
-        for ess, near in est.rows()
+        for ess, near in est.rows
     ]
     ws.write_json(
         {

@@ -18,7 +18,7 @@ the admissibility inequalities are theorem-grade, not float comparisons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -98,17 +98,7 @@ class ConstructionParams:
             "l": self.alphabet_size,
             "epsilon": str(self.epsilon),
             "log_convention": "natural",
-            "stages": [
-                {
-                    "n": s.n,
-                    "window": s.window,
-                    "depth": s.depth,
-                    "count": s.count,
-                    "y_mass": str(s.y_mass),
-                    "ycal_mass": str(s.ycal_mass),
-                }
-                for s in self.stages
-            ],
+            "stages": [asdict(s) for s in self.stages],
             "ycal_total": str(self.ycal_total),
         }
 
@@ -305,15 +295,7 @@ class NearDiagonalEstimate:
         return self.estimate >= self.floor - 2.0 * self.std_err
 
     def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "std_err": self.std_err,
-            "scale": self.scale,
-            "n_pairs": self.n_pairs,
-            "floor": self.floor,
-            "meets_floor": self.meets_floor,
-            "window": self.window,
-        }
+        return {**asdict(self), "floor": self.floor, "meets_floor": self.meets_floor}
 
 
 def _check_groups(n_pairs: int) -> None:

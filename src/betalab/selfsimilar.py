@@ -51,11 +51,6 @@ class SelfSimilarMeasure:
         return 0.5 * (self.base.lo + self.base.hi)
 
     @property
-    def degenerate(self) -> bool:
-        """True when one branch carries no mass (an atom, not self-similar)."""
-        return self.p0 == 0.0 or self.p1 == 0.0
-
-    @property
     def attractor_sup(self) -> float:
         return 1.0 / (self.b - 1.0)
 

@@ -34,6 +34,8 @@ class MarkovSource:
             rows = [tuple(Fraction(p) for p in row) for row in rows]
         except ZeroDivisionError:
             raise ValueError("zero denominator in a transition entry") from None
+        except TypeError:
+            raise ValueError("transition entries must be numbers or fraction strings") from None
         if len(rows) != n_contexts:
             raise ValueError(f"expected {n_contexts} transition rows, got {len(rows)}")
         for row in rows:
@@ -226,10 +228,7 @@ def near_diagonal_mass(src: MarkovSource, k: int) -> GridMass:
 class ConditionEstimates:
     alpha_hat: float
     beta_hat: float
-    grid: tuple[GridMass, ...]  # interleaved (ess, near) per scale
-
-    def rows(self):
-        return list(zip(self.grid[0::2], self.grid[1::2]))
+    rows: tuple[tuple[GridMass, GridMass], ...]  # (ess, near) per scale
 
 
 def fit_condition_exponents(src: MarkovSource, m_max: int = 16) -> ConditionEstimates:
@@ -244,8 +243,9 @@ def fit_condition_exponents(src: MarkovSource, m_max: int = 16) -> ConditionEsti
     logk = np.log([float(k) for k in ks])
     alpha = -np.polyfit(logk, np.log([float(g.value) for g in ess]), 1)[0]
     beta = -np.polyfit(logk, np.log([float(g.value) for g in near]), 1)[0]
-    grid = tuple(x for pair in zip(ess, near) for x in pair)
-    return ConditionEstimates(alpha_hat=float(alpha), beta_hat=float(beta), grid=grid)
+    return ConditionEstimates(
+        alpha_hat=float(alpha), beta_hat=float(beta), rows=tuple(zip(ess, near))
+    )
 
 
 def chain_entropy(src: MarkovSource) -> float:
@@ -305,5 +305,18 @@ def source_from_dict(d: dict) -> MarkovSource:
 
 
 def load_source(path: str) -> MarkovSource:
-    with open(path) as fh:
-        return source_from_dict(json.load(fh))
+    """The source a JSON file holds in `source_to_dict`'s layout; a file that
+    cannot be read, is not JSON or lacks a key is a ValueError naming it."""
+    try:
+        with open(path) as fh:
+            d = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read source file {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ValueError(f"source file {path} is not JSON: {exc}") from None
+    try:
+        return source_from_dict(d)
+    except KeyError as exc:
+        raise ValueError(f"source file {path} has no key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"source file {path} is malformed: {exc}") from None

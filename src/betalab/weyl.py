@@ -64,25 +64,17 @@ def multiplicatively_independent(b: BetaNumber, a: int) -> bool | None:
 class WeylSeries:
     """Exponential-sum averages of one orbit at several checkpoints."""
 
-    base: BetaNumber
-    checkpoints: tuple[int, ...]
-    ms: tuple[int, ...]
     values: dict  # (N, m) -> complex
     orbit: np.ndarray  # x_0 .. x_{N_max}, length N_max + 1
 
-    @property
-    def n_final(self) -> int:
-        return self.checkpoints[-1]
-
     def s(self, n: int, m: int) -> complex:
-        key = (n, m)
-        if key in self.values:
-            return self.values[key]
-        if abs(m) > MAX_FREQUENCY:
-            raise ValueError("frequency too large")
-        if n > len(self.orbit) - 1:
-            raise ValueError("checkpoint beyond stored orbit")
-        return complex(np.mean(np.exp(2j * math.pi * m * self.orbit[:n])))
+        """S_n(m) at a checkpoint and frequency given to `weyl_sums`."""
+        return self.values[(n, m)]
+
+
+def _checkpoints(n: int) -> tuple[int, ...]:
+    """The proxy's tail checkpoints {N/4, N/2, N}, distinct and sorted."""
+    return tuple(sorted({max(1, n // 4), max(1, n // 2), n}))
 
 
 def _checkpoint_means(cur: np.ndarray, cps: tuple[int, ...]) -> list[complex]:
@@ -125,13 +117,7 @@ def weyl_sums(
         cur = np.exp(2j * math.pi * m * xs[:n_max])
         for n, sval in zip(cps, _checkpoint_means(cur, cps)):
             values[(n, m)] = sval
-    return WeylSeries(
-        base=b,
-        checkpoints=cps,
-        ms=ms,
-        values=values,
-        orbit=xs,
-    )
+    return WeylSeries(values=values, orbit=xs)
 
 
 @dataclass(frozen=True)
@@ -206,13 +192,15 @@ def mean_decay_profile(
         raise ValueError("source alphabet does not match a")
     if samples < 16:
         raise ValueError("need at least 16 samples for a mean profile")
+    if n_points < 2:
+        raise ValueError(f"need n_points >= 2, got {n_points}")
     indep = multiplicatively_independent(b, a)
     if indep is False:
         raise ValueError(f"a = {a} and b = {b} are multiplicatively dependent")
     ms = tuple(sorted(set(int(m) for m in ms)))
     if any(m < 0 or m > MAX_FREQUENCY for m in ms):
         raise ValueError("profile frequencies must lie in [0, 2^20]")
-    cps = (max(1, n_points // 4), max(1, n_points // 2), n_points)
+    cps = _checkpoints(n_points)
     digits = math.ceil(n_points * math.log(float(b.hi)) / math.log(a)) + 64
     seeds = [_sample_seed(seed, j) for j in range(samples)]
     sample = partial(_sample_maxima, src, b, ms, cps, n_points, digits)
@@ -488,15 +476,11 @@ def invariance_defects(series: WeylSeries, max_degree: int) -> list[float]:
     maximum: each per-frequency defect |E(e_m) - E(e_m o T)| is computed once."""
     if max_degree < 1:
         raise ValueError("degree must be >= 1")
-    n = series.n_final
-    xs = series.orbit
-    if len(xs) < n + 1:
-        raise ValueError("series does not retain the shifted orbit")
     out = []
     worst = 0.0
     for m in range(1, max_degree + 1):
-        em = np.exp(2j * math.pi * m * xs[: n + 1])
-        worst = max(worst, abs(np.mean(em[:n]) - np.mean(em[1:])))
+        em = np.exp(2j * math.pi * m * series.orbit)
+        worst = max(worst, abs(np.mean(em[:-1]) - np.mean(em[1:])))
         out.append(float(worst))
     return out
 

@@ -281,6 +281,36 @@ def test_zero_denominator_in_source_file_exits_1(tmp_path, capsys):
     assert os.listdir(d) == []
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "error: cannot read source file {path}: No such file"),
+        ('{"alphabet_size": 2, "order": 0}', "error: source file {path} has no key 'rows'"),
+        ('{"alphabet_size": 2, "order": 0, "rows": [[null, "1/2"]]}',
+         "error: transition entries must be numbers or fraction strings"),
+    ],
+    ids=["missing", "no-rows", "null-entry"],
+)
+def test_bad_source_file_exits_1(tmp_path, capsys, text, message):
+    path = tmp_path / "source.json"
+    if text is not None:
+        path.write_text(text)
+    d = str(tmp_path / "out")
+    assert main(["conditions", "--source", str(path), "--out", d]) == 1
+    assert message.format(path=path) in capsys.readouterr().err
+    assert os.listdir(d) == []
+
+
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_decay_rejects_orbits_shorter_than_two_points(tmp_path, capsys, n):
+    d = str(tmp_path)
+    rc = main(["decay", "--beta", "(1+sqrt5)/2", "--iid", "1/2,1/2", "--N", n,
+               "--samples", "16", "--out", d])
+    assert rc == 1
+    assert f"usage error: --N must be at least 2, got {n}" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(d, "decay.json"))
+
+
 @pytest.mark.parametrize("level", ["0", "3"])
 def test_selfsim_without_samples_certifies_nothing(tmp_path, capsys, level):
     # an empty cloud has no defect to bound and no coverage to report
@@ -347,6 +377,68 @@ def test_exit_violation_still_writes_manifest(tmp_path, monkeypatch, capsys):
     assert payload["within_budget"] is False
     # artifacts and manifest must land on disk before the nonzero exit
     assert os.path.exists(os.path.join(d, "invariance_manifest.json"))
+
+
+# -- artifact schemas ---------------------------------------------------------------
+
+# Payloads built from result records carry the records' field names, so renaming
+# a field renames an artifact field.  The key names are pinned here; the hashes
+# pin the values.
+_ESTIMATE_KEYS = {"estimate", "floor", "meets_floor", "n_pairs", "scale", "std_err", "window"}
+_SCHEMAS = [
+    (("classify", "--beta", "(1+sqrt5)/2", "--alphabet", "2"), {
+        "": {"alphabet", "beta", "depth", "digit_string", "digits", "discontinuity_budget",
+             "hit_zero_at", "m_b_lower", "m_b_lower_float", "max_zero_run", "period",
+             "verdict"},
+    }),
+    (("parry", "--beta", "5/2", "--grid", "16", "--fourier", "2"), {
+        "": {"beta", "fourier", "normalizer", "tol"},
+        "fourier[*]": {"err", "m", "value"},
+        "normalizer": {"hi", "lo", "mid"},
+    }),
+    (("lemma32", "--m", "4", "--r", "0.1"), {
+        "": {"beta", "configs", "mu", "violations", "window"},
+        "configs[*]": {"far_bound", "lhs", "m", "mass_cd", "near_mass", "nodes", "quad_error",
+                       "r", "rhs", "slack", "violated"},
+    }),
+    (("selfsim", "--beta", "2.2", "--level", "4", "--samples", "2000", "--xi-max", "1e3"), {
+        "": {"b", "beta", "fitted_c", "invariance", "invariance_defect", "p", "residual_max",
+             "windows", "witness"},
+        "invariance": {"max_defect", "n_intervals", "n_samples", "sigma_at_max",
+                       "within_budget"},
+        "witness": {"coverage_fraction", "level", "total_length"},
+    }),
+    (("counterexample", "--pairs", "1000"), {
+        "": {"all_floors_met", "pairs", "report", "schedule", "seed", "window"},
+        "schedule": {"epsilon", "l", "log_convention", "stages", "ycal_total"},
+        "schedule.stages[*]": {"count", "depth", "n", "window", "y_mass", "ycal_mass"},
+        "report": {"beta_probes", "caveat", "control", "control_beta_hat", "increasing",
+                   "log_convention", "ratios", "stages", "verdict"},
+        "report.stages[*]": _ESTIMATE_KEYS,
+        "report.control[*]": _ESTIMATE_KEYS,
+    }),
+]
+
+
+def _nodes_at(payload, path: str) -> list:
+    """The JSON objects at a dotted path; a `name[*]` step enters every entry."""
+    nodes = [payload]
+    for part in filter(None, path.split(".")):
+        nodes = [n[part.removesuffix("[*]")] for n in nodes]
+        if part.endswith("[*]"):
+            nodes = [entry for n in nodes for entry in n]
+    return nodes
+
+
+@pytest.mark.parametrize("argv, schema", _SCHEMAS, ids=[a[0] for a, _ in _SCHEMAS])
+def test_artifact_key_names(tmp_path, argv, schema):
+    d = str(tmp_path)
+    assert main([*argv, "--out", d]) == 0
+    payload = _json(d, f"{argv[0]}.json")
+    for path, keys in schema.items():
+        nodes = _nodes_at(payload, path)
+        assert nodes, path
+        assert all(set(n) == keys for n in nodes), path
 
 
 # -- manifests and replay ---------------------------------------------------------

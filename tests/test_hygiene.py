@@ -24,7 +24,14 @@ REFERENCE_ONLY = {
     # tests/test_sources.py::test_near_diagonal_matches_enumeration checks
     # near_diagonal_mass against
     "ConditionalMeasure",
+    "ConditionalMeasure.cylinder_mass",
     "conditional_measure",
+    # the marker process's marginal P(R_0 = 1), exact by transfer counting and
+    # sampled through _r_values: tests/test_coding.py checks each against
+    # enumeration and against the other, which tests the marginal law of
+    # _r_values that estimate_near_diagonal draws from
+    "CodedProcess.exact_marginal",
+    "CodedProcess.sample_marginal",
 }
 
 
@@ -77,12 +84,19 @@ def _load_tracing():
 
 def _public_names(tree: ast.Module) -> list[str]:
     """Top-level functions and classes whose names do not start with an
-    underscore."""
-    return [
-        node.name
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-    ]
+    underscore, and the methods and properties of those classes that do not
+    either, each named Class.member."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            names.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                names += [
+                    f"{node.name}.{member.name}"
+                    for member in node.body
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+                ]
+    return names
 
 
 def test_no_module_declares_all():
@@ -110,10 +124,24 @@ def _referenced(node: ast.AST) -> set[str]:
     return refs
 
 
+def _uses(node: ast.stmt) -> set[str]:
+    """Names a statement refers to.  A definition's references to its own
+    name, a method's to itself included, are recursion, not use."""
+    if isinstance(node, ast.ClassDef):
+        header = [*node.bases, *node.keywords, *node.decorator_list]
+        refs = set().union(*map(_referenced, header), *map(_uses, node.body))
+    else:
+        refs = _referenced(node)
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        refs.discard(node.name)
+    return refs
+
+
 def test_every_public_name_is_reached():
     """A public name is used by another definition in src/, by an acceptance
     criterion, by the README or by the benchmark's tracer; the package root's
-    re-exports do not count as uses."""
+    re-exports do not count as uses.  Members match by their own name, as
+    attribute access cannot tell which class it reaches."""
     used = set()
     public = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -122,18 +150,16 @@ def test_every_public_name_is_reached():
         tree = ast.parse(path.read_text())
         public += [(path.stem, name) for name in _public_names(tree)]
         for node in tree.body:
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                continue  # an import alone is not a use
-            refs = _referenced(node)
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                refs.discard(node.name)  # recursion is not a use
-            used |= refs
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):  # an import alone is no use
+                used |= _uses(node)
     used |= _referenced(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
     used |= set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
     for names in _load_tracing().TRACED.values():
-        used |= {name.split(".")[0] for name in names}
+        used |= {part for name in names for part in name.split(".")}
     unreached = [
-        f"{module}.{name}" for module, name in public if name not in used | REFERENCE_ONLY
+        f"{module}.{name}"
+        for module, name in public
+        if name not in REFERENCE_ONLY and name.split(".")[-1] not in used
     ]
     assert not unreached, unreached
 

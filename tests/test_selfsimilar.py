@@ -42,7 +42,8 @@ def test_measure_validation():
         SelfSimilarMeasure(parse_beta("2.2"), -0.1, 1.1)
     with pytest.raises(ValueError):
         SelfSimilarMeasure(parse_beta("3/2"), 0.5, 0.5)  # below b = 2
-    assert SelfSimilarMeasure(parse_beta("2.2"), 1.0, 0.0).degenerate
+    # one branch without mass is an atom, not self-similar, but still valid
+    assert SelfSimilarMeasure(parse_beta("2.2"), 1.0, 0.0).p1 == 0.0
 
 
 def test_attractor_support():

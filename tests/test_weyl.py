@@ -12,6 +12,8 @@ from betalab.precision import parse_beta
 from betalab.sources import iid_source
 from betalab.weyl import (
     _NUFFT_ERROR,
+    _checkpoint_means,
+    _checkpoints,
     _lhs_quadrature_cloud,
     _window_sums,
     invariance_defect,
@@ -224,6 +226,26 @@ def test_mean_decay_profile_shape():
     assert all(0 <= v <= 1 for v in prof.values.values())
     assert prof.independence == "asserted"
     assert prof.checkpoints == (200, 400, 800)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_mean_decay_profile_at_the_shortest_orbits(n):
+    # N // 4 and N // 2 both clamp to 1 here; a repeated checkpoint would count
+    # x_1's term twice and lift D(m) above 1
+    assert _checkpoints(n) == (1, n)
+    assert _checkpoint_means(np.ones(n), _checkpoints(n)) == [1, 1]
+    src = iid_source([Fraction(1, 2), Fraction(1, 2)])
+    prof = mean_decay_profile(src, PHI, 2, (1, 2, 3), n_points=n, samples=16, seed=0)
+    assert prof.checkpoints == (1, n)
+    # |e(t)| is 1 only up to float rounding
+    assert all(0 <= v <= 1 + 1e-12 for v in prof.values.values())
+
+
+def test_mean_decay_profile_rejects_a_one_point_orbit():
+    src = iid_source([Fraction(1, 2), Fraction(1, 2)])
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="n_points >= 2"):
+            mean_decay_profile(src, PHI, 2, (1,), n_points=n, samples=16, seed=0)
 
 
 def test_mean_decay_profile_worker_determinism():
