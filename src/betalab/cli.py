@@ -263,6 +263,8 @@ def cmd_parry(args, ws: Workspace) -> int:
 
 
 def cmd_orbit(args, ws: Workspace) -> int:
+    if args.steps < 1:
+        raise UsageError(f"--steps must be at least 1, got {args.steps}")
     b = parse_beta(args.beta)
     x = parse_point(args.x)
     pts, digs, bits = orbit_with_digits(
@@ -289,6 +291,8 @@ def cmd_orbit(args, ws: Workspace) -> int:
 
 
 def cmd_weyl(args, ws: Workspace) -> int:
+    if args.N < 1:
+        raise UsageError(f"--N must be at least 1, got {args.N}")
     b = parse_beta(args.beta)
     x = parse_point(args.x)
     ms = _number_list(args.m, int)
@@ -430,6 +434,10 @@ def cmd_lemma32(args, ws: Workspace) -> int:
 
 
 def cmd_invariance(args, ws: Workspace) -> int:
+    if args.N < 1:
+        raise UsageError(f"--N must be at least 1, got {args.N}")
+    if args.degrees < 1:
+        raise UsageError(f"--degrees must be at least 1, got {args.degrees}")
     b = parse_beta(args.beta)
     x = parse_point(args.x)
     n = args.N

@@ -366,6 +366,7 @@ class _IntervalOrbit:
         self.log2_size = math.log2(max(abs(u) + abs(v) * (math.isqrt(self.d) + 1), self.w))
         self.triples: list[tuple[int, int, int]] = []
         self.digits: list[int] = []
+        self._terms: dict[int, tuple] = {}  # segment length -> _block's table
 
     def scale(self, rem: int) -> int:
         """Working scale of a point with rem steps still to run from it."""
@@ -391,40 +392,68 @@ class _IntervalOrbit:
         return self._combine(head, tail) if need_block else None
 
     def _steps(self, x_lo: int, x_hi: int, s: int, n: int) -> None:
-        """The per-step loop: one outward-rounded product per step."""
-        bits = self.bits
-        for i in range(n):
-            shift = bits - s
-            b_lo = self.b_lo_full >> shift
-            b_hi = -((-self.b_hi_full) >> shift)
+        """The per-step loop: one outward-rounded product per step.
+
+        b is rounded to the segment's starting scale once and then shifted
+        along with the point whenever the scale drops.  floor(floor(y/2^i)/2^j)
+        = floor(y/2^(i+j)) for integers, and likewise for ceil, so the shifted
+        b_lo, b_hi are exactly the floor and ceil of b's full-width mantissas
+        at the new scale: the integers of rounding afresh at every step.
+        The next scale is `scale(rem)` without its cap at bits: s never
+        exceeds bits, so wherever the cap applies there is no drop either way.
+        """
+        shift = self.bits - s
+        b_lo = self.b_lo_full >> shift
+        b_hi = -((-self.b_hi_full) >> shift)
+        ceil, log2b_up, slack = math.ceil, self.log2b_up, self.slack
+        triples, digits = self.triples, self.digits
+        for rem in range(n - 1, -1, -1):
             y_lo = (x_lo * b_lo) >> s
             y_hi = -((-(x_hi * b_hi)) >> s)
             k = y_lo >> s
             if y_hi >> s != k:
                 raise AmbiguousBranch(
-                    f"step {len(self.digits)}: enclosure straddles an integer at {bits} bits"
+                    f"step {len(digits)}: enclosure straddles an integer at {self.bits} bits"
                 )
             x_lo = y_lo - (k << s)
             x_hi = y_hi - (k << s)
-            s_next = self.scale(n - i - 1)
+            s_next = ceil(rem * log2b_up) + slack
             if s_next < s:
                 drop = s - s_next
                 x_lo >>= drop
                 x_hi = -((-x_hi) >> drop)
+                b_lo >>= drop
+                b_hi = -((-b_hi) >> drop)
                 s = s_next
-            self.triples.append((x_lo, x_hi, s))
-            self.digits.append(k)
+            triples.append((x_lo, x_hi, s))
+            digits.append(k)
 
     def _block(self, digits: list[int]):
-        """(beta^n, w^n, N) for a run of n digits, by Horner's rule."""
-        d, w, beta = self.d, self.w, self.beta
-        power, w_power, acc = (1, 0), 1, (0, 0)
-        for k in digits:
-            a, c = _zmul(acc, beta, d)
-            acc = (a + k * w_power, c)
-            power = _zmul(power, beta, d)
-            w_power *= w
-        return power, w_power, acc
+        """(beta^n, w^n, N) for a run of n digits, N = sum_k d_k t_k with the
+        terms t_k = beta^(n-1-k) w^k of `_block_terms`."""
+        power, w_power, term_a, term_c = self._block_terms(len(digits))
+        n_a = sum(k * t for k, t in zip(digits, term_a) if k)
+        n_c = sum(k * t for k, t in zip(digits, term_c) if k)
+        return power, w_power, (n_a, n_c)
+
+    def _block_terms(self, n: int):
+        """beta^n, w^n and the coefficients of beta^(n-1-k) w^k, k < n; one
+        table per segment length, and the leaves have only a few lengths."""
+        table = self._terms.get(n)
+        if table is None:
+            d, w, beta = self.d, self.w, self.beta
+            beta_powers = [(1, 0)]
+            for _ in range(n):
+                beta_powers.append(_zmul(beta_powers[-1], beta, d))
+            term_a, term_c = [], []
+            w_power = 1
+            for k in range(n):
+                a, c = beta_powers[n - 1 - k]
+                term_a.append(a * w_power)
+                term_c.append(c * w_power)
+                w_power *= w
+            table = self._terms[n] = (beta_powers[n], w_power, term_a, term_c)
+        return table
 
     def _combine(self, left, right):
         """Block of two adjacent runs: N_ij = N_im beta^(j-m) + N_mj w^(m-i)."""
@@ -490,21 +519,16 @@ def _interval_orbit_attempt(
 
 
 def _width_ok(triples: list[tuple[int, int, int]], digits_required: int) -> bool:
+    scale = 10**digits_required
     for lo, hi, s in triples:
         # (hi - lo)/2^s <= 10^-digits  <=>  (hi - lo) * 10^digits <= 2^s
-        if (hi - lo) * 10**digits_required > (1 << s):
+        if (hi - lo) * scale > (1 << s):
             return False
     return True
 
 
 def _triples_to_enclosures(triples: list[tuple[int, int, int]]) -> list[Enclosure]:
     return [Enclosure(Fraction(lo, 1 << s), Fraction(hi, 1 << s)) for lo, hi, s in triples]
-
-
-def _mid_float(lo: int, hi: int, s: int) -> float:
-    tot = lo + hi
-    shift = max(0, tot.bit_length() - 56)
-    return math.ldexp(float(tot >> shift), shift - s - 1)
 
 
 def _certified_orbit(
@@ -611,4 +635,14 @@ def tb_orbit_floats(
     )
     if triples is None:
         return [float(p) for p in points]
-    return [_mid_float(lo, hi, s) for lo, hi, s in triples]
+    # the midpoint (lo + hi) / 2^(s+1), truncated to 56 bits before the float
+    # conversion
+    ldexp = math.ldexp
+    out = []
+    for lo, hi, s in triples:
+        tot = lo + hi
+        shift = tot.bit_length() - 56
+        if shift < 0:
+            shift = 0
+        out.append(ldexp(float(tot >> shift), shift - s - 1))
+    return out

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -260,11 +261,18 @@ def chain_entropy(src: MarkovSource) -> float:
 
 
 def sample_digits(src: MarkovSource, n_digits: int, seed: int) -> np.ndarray:
-    """One digit string of the stationary chain; deterministic in seed."""
+    """One digit string of the stationary chain; deterministic in seed.
+
+    Each digit is bisect_right of its uniform draw in the context's row of
+    cumulative probabilities, held as Python floats.  On a sorted row,
+    bisect_right makes the same float comparisons as np.searchsorted with
+    side="right" on the float64 array of that row, so the digits are those of
+    the one-call-per-digit search.
+    """
     if n_digits < 1:
         raise ValueError("need n_digits >= 1")
     rng = np.random.default_rng(seed)
-    cum = np.array([[float(sum(row[: j + 1])) for j in range(src.a)] for row in src.rows])
+    rows = [[float(sum(row[: j + 1])) for j in range(src.a)] for row in src.rows]
     if src.order == 0:
         ctx = 0
     else:
@@ -272,23 +280,40 @@ def sample_digits(src: MarkovSource, n_digits: int, seed: int) -> np.ndarray:
         cpi = np.cumsum([float(p) for p in pi])
         ctx = int(np.searchsorted(cpi, rng.random(), side="right"))
         ctx = min(ctx, src.n_contexts - 1)
-    u = rng.random(n_digits)
-    out = np.empty(n_digits, dtype=np.int64)
-    for i in range(n_digits):
-        s = int(np.searchsorted(cum[ctx], u[i], side="right"))
-        s = min(s, src.a - 1)
-        out[i] = s
-        ctx = src.roll(ctx, s)
-    return out
+    a, n_contexts, last = src.a, src.n_contexts, src.a - 1
+    out = []
+    for u in rng.random(n_digits).tolist():
+        s = bisect_right(rows[ctx], u)
+        if s > last:
+            s = last
+        out.append(s)
+        ctx = (ctx * a + s) % n_contexts  # `roll`; 0 for order 0
+    return np.array(out, dtype=np.int64)
+
+
+def _chunk_length(a: int) -> int:
+    """The largest k with a^k < 2^62, so a base-a chunk of k digits fits int64."""
+    k = 1
+    while a ** (k + 1) < 1 << 62:
+        k += 1
+    return k
 
 
 def sample_point(src: MarkovSource, digits: int, seed: int) -> Fraction:
     """Point sum w_i a^(-i) with w from the stationary chain (exact rational,
-    so downstream certified orbits can consume it)."""
+    so downstream certified orbits can consume it).
+
+    The numerator is read k digits at a time (`_chunk_length`): one int64 dot
+    product per chunk, then Horner's rule over the chunks in Python ints.
+    """
     w = sample_digits(src, digits, seed)
-    num = 0
-    for s in w:
-        num = num * src.a + int(s)
+    k = _chunk_length(src.a)
+    weights = src.a ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    head = digits % k
+    num = int(w[:head] @ weights[k - head :])
+    radix = src.a**k
+    for chunk in (w[head:].reshape(-1, k) @ weights).tolist():
+        num = num * radix + chunk
     return Fraction(num, src.a**digits)
 
 

@@ -311,6 +311,51 @@ def test_decay_rejects_orbits_shorter_than_two_points(tmp_path, capsys, n):
     assert not os.path.exists(os.path.join(d, "decay.json"))
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [("weyl", "--N"), ("invariance", "--N"), ("invariance", "--degrees"), ("orbit", "--steps")],
+)
+def test_orbit_lengths_below_one_are_usage_errors(tmp_path, capsys, command, flag):
+    d = str(tmp_path)
+    rc = main([command, "--beta", "(1+sqrt5)/2", "--x", "1/3", flag, "0", "--out", d])
+    assert rc == 1
+    assert f"usage error: {flag} must be at least 1, got 0" in capsys.readouterr().err
+    assert os.listdir(d) == []
+
+
+# sha256 of decay.json and decay.csv for two small runs on base phi, taken
+# with numpy 2.4 on x86-64 Linux (the Weyl powers go through libm's cpow).
+# They change only with a deliberate change of decay's numbers.
+DECAY_PINS = {
+    "iid": {
+        "decay.json": "81e76849eb3da46254929c7bbaa78f1b1bb0224e09f3b4a460ed53c772df9e35",
+        "decay.csv": "5470697c4c2d96b502ae67615f164fb04e621902a17786a4846d14c4815e7d97",
+    },
+    "markov": {
+        "decay.json": "b0de93c36c31f926ab86d9339a72895e6b8617769bd1784aff5ab3efce5dd4ac",
+        "decay.csv": "fbb24757a4f29e4987b1a436d30946281f808cec8fb933922e99ceb0258b9535",
+    },
+}
+
+
+@pytest.mark.parametrize("label", ["iid", "markov"])
+def test_decay_bytes_are_pinned(tmp_path, label):
+    if label == "iid":
+        flags = ["--iid", "7/10,3/10", "--seed", "11"]
+    else:
+        # the order-2 source of the benchmark's decay probe
+        path = tmp_path / "markov2.json"
+        rows = [["3/4", "1/4"], ["2/5", "3/5"], ["1/2", "1/2"], ["1/5", "4/5"]]
+        path.write_text(json.dumps({"alphabet_size": 2, "order": 2, "rows": rows}))
+        flags = ["--source", str(path), "--seed", "12"]
+    d = str(tmp_path / "out")
+    rc = main(["decay", "--beta", "(1+sqrt5)/2", *flags, "--N", "2000", "--samples", "16",
+               "--out", d])
+    assert rc == 0
+    for name, want in DECAY_PINS[label].items():
+        assert hashlib.sha256(_bytes(d, name)).hexdigest() == want, name
+
+
 @pytest.mark.parametrize("level", ["0", "3"])
 def test_selfsim_without_samples_certifies_nothing(tmp_path, capsys, level):
     # an empty cloud has no defect to bound and no coverage to report

@@ -281,3 +281,112 @@ def test_divide_and_conquer_matches_per_step_loop(desc, q, p_frac, n):
     assert all(_contains(p, e) for p, e in zip(pts_dc, exact))
     assert all(_contains(p, e) for p, e in zip(pts_loop, exact))
     assert all(abs(a - c) <= 2**-50 for a, c in zip(fl_dc, fl_loop))
+
+
+# -- the step loop and the midpoint floats against their defining formulas -------
+
+
+class _PerStepOracle(precision._IntervalOrbit):
+    """The engine with b rounded afresh from its full-width mantissas and
+    scale() called at every step, and digit blocks by Horner's rule."""
+
+    def _steps(self, x_lo, x_hi, s, n):
+        bits = self.bits
+        for i in range(n):
+            shift = bits - s
+            b_lo = self.b_lo_full >> shift
+            b_hi = -((-self.b_hi_full) >> shift)
+            y_lo = (x_lo * b_lo) >> s
+            y_hi = -((-(x_hi * b_hi)) >> s)
+            k = y_lo >> s
+            if y_hi >> s != k:
+                raise precision.AmbiguousBranch(f"step {len(self.digits)}")
+            x_lo = y_lo - (k << s)
+            x_hi = y_hi - (k << s)
+            s_next = self.scale(n - i - 1)
+            if s_next < s:
+                drop = s - s_next
+                x_lo >>= drop
+                x_hi = -((-x_hi) >> drop)
+                s = s_next
+            self.triples.append((x_lo, x_hi, s))
+            self.digits.append(k)
+
+    def _block(self, digits):
+        d, w, beta = self.d, self.w, self.beta
+        power, w_power, acc = (1, 0), 1, (0, 0)
+        for k in digits:
+            a, c = precision._zmul(acc, beta, d)
+            acc = (a + k * w_power, c)
+            power = precision._zmul(power, beta, d)
+            w_power *= w
+        return power, w_power, acc
+
+
+def _attempt(b, x, n, restarts):
+    """One interval pass as the restart driver makes it after `restarts`
+    doublings; "ambiguous" if a branch stays unresolved."""
+    log2b_up = b.log2_upper()
+    initial = PrecisionBudget.for_orbit(log2b_up, n, 12).initial_bits
+    bits = initial << restarts
+    out_bits = math.ceil(12 * math.log2(10)) + 4
+    try:
+        return precision._interval_orbit_attempt(
+            b, x, x, n, bits, out_bits, log2b_up, bits - initial
+        )
+    except precision.AmbiguousBranch:
+        return "ambiguous"
+
+
+def _engine_and_oracle(b, x, n, restarts=0, base_steps=precision._BASE_STEPS):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(precision, "_BASE_STEPS", base_steps)
+        got = _attempt(b, x, n, restarts)
+        mp.setattr(precision, "_IntervalOrbit", _PerStepOracle)
+        want = _attempt(b, x, n, restarts)
+    return got, want
+
+
+@settings(max_examples=60)
+@given(
+    desc=_bases(),
+    q=st.integers(2, 10**6),
+    p_frac=st.floats(0, 1, exclude_max=True),
+    n=st.integers(1, 600),
+    restarts=st.integers(0, 1),
+    base_steps=st.sampled_from((2, 7, 128)),
+)
+def test_step_loop_matches_per_step_rounding(desc, q, p_frac, n, restarts, base_steps):
+    b = _parse_base_above_one(desc)
+    x = Fraction(int(p_frac * q), q)
+    got, want = _engine_and_oracle(b, x, n, restarts, base_steps)
+    assert got == want
+
+
+def test_step_loop_matches_per_step_rounding_on_a_long_decimal_base():
+    b = parse_beta("2." + "3" * 60)
+    x, n = Fraction(12345, 99991), 2000
+    got, want = _engine_and_oracle(b, x, n)
+    assert got != "ambiguous" and got == want
+    # the jump's integers would outgrow any working scale (at most bits), so
+    # the per-step loop runs the whole orbit
+    log2b_up = b.log2_upper()
+    bits = PrecisionBudget.for_orbit(log2b_up, n, 12).initial_bits
+    engine = precision._IntervalOrbit(b, bits, 0, log2b_up)
+    assert (n // 2) * engine.log2_size > precision._JUMP_SIZE_RATIO * bits
+
+
+def _mid_float(lo, hi, s):
+    """(lo + hi) / 2^(s+1), truncated to 56 bits before the float conversion."""
+    tot = lo + hi
+    shift = max(0, tot.bit_length() - 56)
+    return math.ldexp(float(tot >> shift), shift - s - 1)
+
+
+@pytest.mark.parametrize("desc", [PHI, "5/2", "2.2", "2." + "3" * 60])
+def test_orbit_floats_are_the_truncated_midpoints(desc):
+    b, x, n = parse_beta(desc), Fraction(12345, 99991), 700
+    triples, points, _, _ = precision._certified_orbit(b, x, n, 9, "auto", exact_cutoff=0)
+    assert points is None
+    want = [_mid_float(*t).hex() for t in triples]
+    assert [f.hex() for f in tb_orbit_floats(b, x, n)] == want

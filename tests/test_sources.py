@@ -6,9 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betalab.sources import (
     MarkovSource,
+    _chunk_length,
     chain_entropy,
     conditional_measure,
     ess_sup_interval_mass,
@@ -120,6 +123,47 @@ def test_chain_sample_transition_frequencies():
     assert abs(np.mean(from0 == 0) - 0.9) < 0.01
 
 
+def _searchsorted_digits(src, n_digits, seed):
+    """The walk sample_digits must reproduce: one np.searchsorted call per
+    digit on the float64 rows of cumulative probabilities."""
+    rng = np.random.default_rng(seed)
+    cum = np.array([[float(sum(row[: j + 1])) for j in range(src.a)] for row in src.rows])
+    if src.order == 0:
+        ctx = 0
+    else:
+        pi = stationary_distribution(src)
+        cpi = np.cumsum([float(p) for p in pi])
+        ctx = int(np.searchsorted(cpi, rng.random(), side="right"))
+        ctx = min(ctx, src.n_contexts - 1)
+    u = rng.random(n_digits)
+    out = np.empty(n_digits, dtype=np.int64)
+    for i in range(n_digits):
+        s = int(np.searchsorted(cum[ctx], u[i], side="right"))
+        s = min(s, src.a - 1)
+        out[i] = s
+        ctx = src.roll(ctx, s)
+    return out
+
+
+@st.composite
+def _sources(draw):
+    a = draw(st.sampled_from((2, 3, 5)))
+    order = draw(st.integers(0, 2))
+    rows = []
+    for _ in range(a**order):
+        weights = draw(st.lists(st.integers(1, 1000), min_size=a, max_size=a))
+        rows.append([Fraction(w, sum(weights)) for w in weights])
+    return MarkovSource(a, order, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(src=_sources(), n_digits=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+def test_sample_digits_matches_searchsorted_walk(src, n_digits, seed):
+    got = sample_digits(src, n_digits, seed)
+    want = _searchsorted_digits(src, n_digits, seed)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
 def test_sample_point_prefix_consistency():
     x = sample_point(SKEW, 64, seed=3)
     d = sample_digits(SKEW, 64, seed=3)
@@ -128,6 +172,19 @@ def test_sample_point_prefix_consistency():
         acc += Fraction(int(dig), 2 ** (i + 1))
     assert x == acc
     assert 0 <= x < 1
+    # around the int64 chunk boundary, a partial leading chunk, and a long
+    # string, against Horner's rule one digit at a time
+    for a in (2, 3, 10):
+        src = iid_source([Fraction(1, a)] * a)
+        k = _chunk_length(a)
+        assert a**k < 2**62 <= a ** (k + 1)
+        for n in (1, k - 1, k, k + 1, 7007):
+            num = 0
+            for dig in sample_digits(src, n, seed=n).tolist():
+                num = num * a + dig
+            x = sample_point(src, n, seed=n)
+            assert x == Fraction(num, a**n), (a, n)
+            assert 0 <= x < 1
 
 
 def test_entropy_values():
