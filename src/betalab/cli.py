@@ -150,6 +150,20 @@ def _jsonable(obj):
     raise TypeError(f"not JSON-serializable: {type(obj)!r}")
 
 
+def _exact_str(x: Fraction) -> str:
+    """str(x) past Python's limit on int-to-str digits (a normalizer of a
+    base near 1 runs to tens of thousands of bits); the limit holds again
+    after."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # a Python without the limit
+        return str(x)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 class Workspace:
     """Artifact writer for one command invocation; records output names."""
 
@@ -239,6 +253,8 @@ def cmd_parry(args, ws: Workspace) -> int:
         raise UsageError(f"--grid must be at least 1, got {args.grid}")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise UsageError(f"--tol must be finite and positive, got {args.tol}")
+    if args.fourier < 0:
+        raise UsageError(f"--fourier must be at least 0, got {args.fourier}")
     b = parse_beta(args.beta)
     den = ParryDensity(b)
     rows = den.grid_rows(args.grid, tol=args.tol)
@@ -251,8 +267,8 @@ def cmd_parry(args, ws: Workspace) -> int:
             "beta": args.beta,
             "tol": args.tol,
             "normalizer": {
-                "lo": str(z_lo),
-                "hi": str(z_hi),
+                "lo": _exact_str(z_lo),
+                "hi": _exact_str(z_hi),
                 "mid": float((z_lo + z_hi) / 2),
             },
             "fourier": fourier,

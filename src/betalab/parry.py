@@ -12,11 +12,15 @@ Probes are evaluated in one sorted sweep.  f(x) is the sum of the weights
 b^(-n) with x < r_n, and the unnormalized CDF M(x) = sum b^(-n) min(x, r_n)
 equals P + x*Q, with P the sum of b^(-n) r_n over r_n <= x and Q the sum of
 b^(-n) over r_n > x; all of them change only where a probe passes an orbit
-point.  So each term is added once per sweep in exact Fraction arithmetic,
-not once per probe, and each CDF row is one correctly rounded int / int
-division.  On b = 2.2 at tol 1e-10 (34 terms) a 512-point grid takes about
-0.2 s (one core of a 2-vCPU VM, Python 3.11).  density_at is the sweep at one
-probe and interval_mass(u, v) is M(v) - M(u) over Z, from the same kernel.
+point.  So each term is added once per sweep, not once per probe.  The terms
+of each side (lower, upper) are integer numerators over one denominator,
+built from b's dyadic bound and the dyadic orbit enclosures, so no addition
+pays for a gcd; a Fraction is formed only for a value handed back, and each
+grid row is one correctly rounded int / int division of the exact value.
+On b = 2.2 at tol 1e-10 (34 terms) a 512-point grid takes about 0.02 s (one
+core of a 2-vCPU VM, Python 3.11).  density_at is the sweep at one probe,
+interval_mass(u, v) is M(v) - M(u) over Z, and the normalizer Z sums the
+same integer terms.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,39 +59,101 @@ def _share(tol: float, parts: int) -> Fraction:
     return Fraction(tol) / parts
 
 
-def _sweep(terms: list[tuple], n_probes: int) -> list[tuple]:
-    """Lower and upper sums over sorted probes, split where they change.
+def _mid_width(lo: Fraction, hi: Fraction) -> tuple[float, float]:
+    """The floats of (lo + hi)/2 and hi - lo, each one correctly rounded
+    division of integer cross products, with no gcd."""
+    a, c = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+    d = lo.denominator * hi.denominator
+    return (a + c) / (2 * d), (c - a) / d
 
-    A term (cut, j, q, p) adds q to sum j's Q at the probes i < cut and p to
-    its P at the probes i >= cut (j = 0 lower, 1 upper).  Returns pieces
-    (start, stop, (Q_0, P_0), (Q_1, P_1)) covering probes 0 .. n_probes-1 in
-    order, each sum constant on start <= i < stop.  Q is summed from the
-    right and P from the left, so every q and p is added once, and only
-    where it counts.
+
+def _dyadic(x: Fraction) -> tuple[int, int]:
+    """(m, k) with x = m / 2^k; b's bounds and the orbit enclosures are dyadic."""
+    k = x.denominator.bit_length() - 1
+    if x.denominator != 1 << k:
+        raise ValueError(f"{x} is not dyadic")
+    return x.numerator, k
+
+
+class _Side:
+    """One side of the Parry sums as integer numerators over one denominator.
+
+    Term n < n_terms is b^(-n) and, given ends, b^(-n) * ends[n].  With b's
+    bound a / 2^e, b^(-n) = 2^(en) a^(N-1-n) / a^(N-1); the dyadic ends
+    m_n / 2^k_n share 2^k, k = max k_n; the tail's denominator widens D once.
+    So every numerator is a shift of one running product, and no sum pays
+    for a gcd.
     """
-    at: dict[int, list[tuple]] = {}
-    for term in terms:
-        at.setdefault(term[0], []).append(term)
-    starts = sorted({0} | {cut for cut in at if cut < n_probes})
-    stops = starts[1:] + [n_probes]
-    q = [Fraction(0), Fraction(0)]
-    q_at = {}
-    for stop in reversed(stops):
-        for _, j, q_j, _ in at.get(stop, ()):
-            q[j] += q_j
-        q_at[stop] = tuple(q)
-    p = [Fraction(0), Fraction(0)]
-    pieces = []
-    for start, stop in zip(starts, stops):
-        for _, j, _, p_j in at.get(start, ()):
-            p[j] += p_j
-        pieces.append((start, stop, (q_at[stop][0], p[0]), (q_at[stop][1], p[1])))
-    return pieces
+
+    def __init__(self, bound: Fraction, n_terms: int, ends=None, tail=Fraction(0)):
+        self.a, self.e = _dyadic(bound)
+        self.n_terms = n_terms
+        self.ends = None if ends is None else [_dyadic(x) for x in ends]
+        self.k = max((k for _, k in self.ends or ()), default=0)
+        base = self.a ** max(n_terms - 1, 0) << self.k
+        self.den = math.lcm(base, tail.denominator)
+        self.widen = self.den // base
+        self.tail = tail.numerator * (self.den // tail.denominator)
+
+    def numerators(self, scale: int = 1):
+        """(n, b^(-n) * den * scale, b^(-n) * ends[n] * den * scale) for
+        n = n_terms-1 down to 0."""
+        t = scale * self.widen  # den * scale * b^(-n) / 2^(en + k)
+        for n in reversed(range(self.n_terms)):
+            shift = self.e * n + self.k
+            p = 0
+            if self.ends:
+                m, k = self.ends[n]
+                p = t * m << (shift - k)
+            yield n, t << shift, p
+            t *= self.a
 
 
-def _per_probe(pieces: list[tuple]) -> list[tuple]:
-    """The (lower, upper) sums of a sweep at each probe."""
-    return [sums for start, stop, *sums in pieces for _ in range(start, stop)]
+class _Sweep(NamedTuple):
+    """Lower (j = 0) and upper (j = 1) sums over n_probes sorted probes.
+
+    Side j's term n adds its weight to Q at the probes i < cuts[j][n] and its
+    weight times end to P at the probes i >= cuts[j][n]; the tail adds to Q
+    at every probe.
+    """
+
+    sides: tuple[_Side, _Side]
+    cuts: tuple[list[int], list[int]]
+    n_probes: int
+
+    def pieces(self, scales: tuple[int, int]):
+        """Pieces (start, stop, Q, P) covering the probes in order, each sum
+        constant on start <= i < stop: the lower sum times den_lo * scales[0]
+        plus the upper sum times den_hi * scales[1].  Terms are added into
+        one bucket per cut as they are made, and Q is the total less the
+        buckets passed, so every term is added once and the buckets, not the
+        terms, are held.
+        """
+        at: dict[int, list[int]] = {}
+        q = 0
+        for side, cuts, scale in zip(self.sides, self.cuts, scales):
+            q += side.tail * scale
+            for n, q_n, p_n in side.numerators(scale):
+                bucket = at.setdefault(cuts[n], [0, 0])
+                bucket[0] += q_n
+                bucket[1] += p_n
+                q += q_n
+        starts = sorted({0} | {cut for cut in at if cut < self.n_probes})
+        p = 0
+        for start, stop in zip(starts, starts[1:] + [self.n_probes]):
+            q_cut, p_cut = at.get(start, (0, 0))
+            q -= q_cut
+            p += p_cut
+            yield start, stop, q, p
+
+
+def _per_probe(sweep: _Sweep) -> list[tuple]:
+    """The lower and upper sums ((Q_lo, P_lo), (Q_hi, P_hi)) of a sweep at
+    each probe, as Fractions."""
+    sides = [[(Fraction(q, side.den), Fraction(p, side.den))
+              for start, stop, q, p in sweep.pieces(scales) for _ in range(start, stop)]
+             for side, scales in zip(sweep.sides, ((1, 0), (0, 1)))]
+    return list(zip(*sides))
 
 
 def _min_sum(sums: tuple[Fraction, Fraction], x: Fraction) -> Fraction:
@@ -119,9 +186,11 @@ class ParryDensity:
         self.digits_required = 13  # doubled by _resolve_cmp when a probe needs it
         self._orbit: list[Enclosure] = [_ONE]
         self._z: dict[float, tuple[Fraction, Fraction]] = {}  # normalizer by tol
+        self._floats: list[tuple[float, float, float, float]] = []  # per term, see _term_floats
         self._zero_from: int | None = None  # least n with r_n certified 0
         self._pow_lo: list[Fraction] = [Fraction(1)]  # b^n lower bounds
         self._pow_hi: list[Fraction] = [Fraction(1)]
+        self._tails: dict[int, Fraction] = {}  # tail_bound by prefix length; b alone fixes it
 
     # -- series bookkeeping -------------------------------------------------
 
@@ -130,8 +199,10 @@ class ParryDensity:
         pts, _, _ = orbit_with_digits(
             self.base, Fraction(1), n_steps, digits_required=self.digits_required
         )
-        # a recomputed prefix changes earlier enclosures, so Z is summed again
+        # a recomputed prefix changes earlier enclosures, so Z and the
+        # per-term floats are computed again
         self._z.clear()
+        self._floats.clear()
         self._orbit = [_ONE] + pts
         for i, p in enumerate(self._orbit):
             if p.is_certified_zero():
@@ -161,8 +232,10 @@ class ParryDensity:
         """Bound on sum_{n >= n_terms} b^(-n), i.e. everything past the prefix."""
         if self._zero_from is not None and n_terms > self._zero_from:
             return Fraction(0)
-        w_lo, w_hi = self._weight(n_terms)
-        return w_hi * self.base.hi / (self.base.lo - 1)
+        if n_terms not in self._tails:
+            w_lo, w_hi = self._weight(n_terms)
+            self._tails[n_terms] = w_hi * self.base.hi / (self.base.lo - 1)
+        return self._tails[n_terms]
 
     def terms_for(self, tol: Fraction) -> int:
         """Smallest usable prefix length with tail_bound <= tol."""
@@ -211,14 +284,20 @@ class ParryDensity:
         self._extend(max(n_terms, self.terms_for(_share(z_tol, 2))))
         return n_terms, z_tol
 
-    def _density_sweep(self, xs: list[Fraction], n_terms: int) -> list[tuple]:
-        """Sweep pieces (start, stop, (f_lo, _), (f_hi, _)) of the density
-        over the sorted probes xs.
+    def _sides(self, n_terms: int, ends=(None, None), tail=Fraction(0)) -> tuple[_Side, _Side]:
+        """The lower sum weighs by 1/b_hi^n and the upper by 1/b_lo^n; only
+        the upper sum carries the tail."""
+        return (_Side(self.base.hi, n_terms, ends[0]),
+                _Side(self.base.lo, n_terms, ends[1], tail))
+
+    def _density_sweep(self, xs: list[Fraction], n_terms: int) -> _Sweep:
+        """The density's sweep over the sorted probes xs: Q_lo and Q_hi are
+        f's bounds, P is 0.
 
         Every comparison x < r_n is certified before anything is summed: a
         probe inside r_n's enclosure refines the prefix, which replaces it.
         """
-        terms = []
+        cuts = []
         for n in range(n_terms):
             if n >= len(self._orbit):
                 break  # a refinement certified an earlier zero
@@ -228,25 +307,17 @@ class ParryDensity:
                 if self._resolve_cmp(x, n) > 0:
                     break
                 k += 1
-            w_lo, w_hi = self._weight(n)
-            terms += [(k, 0, w_lo, 0), (k, 1, w_hi, 0)]
-        terms.append((len(xs), 1, self.tail_bound(n_terms), 0))
-        return _sweep(terms, len(xs))
+            cuts.append(k)
+        return _Sweep(self._sides(len(cuts), tail=self.tail_bound(n_terms)), (cuts, cuts), len(xs))
 
-    def _mass_sweep(self, xs: list[Fraction], n_terms: int) -> list[tuple]:
-        """Sweep pieces (start, stop, (Q_lo, P_lo), (Q_hi, P_hi)) over the
-        sorted probes xs of M(x) = sum_n b^(-n) min(x, r_n) = P + x*Q, with
-        r_n's lower (upper) end and weight in the lower (upper) sum; the
-        upper sum also carries x * tail_bound."""
+    def _mass_sweep(self, xs: list[Fraction], n_terms: int) -> _Sweep:
+        """The sweep over the sorted probes xs of M(x) = sum_n b^(-n)
+        min(x, r_n) = P + x*Q, with r_n's lower (upper) end and weight in the
+        lower (upper) sum; the upper sum also carries x * tail_bound."""
         pre = self._orbit[:n_terms]
-        terms = []
-        for n, r in enumerate(pre):
-            w_lo, w_hi = self._weight(n)
-            lo, hi = max(r.lo, 0), max(r.hi, 0)
-            terms += [(bisect_left(xs, lo), 0, w_lo, w_lo * lo),
-                      (bisect_left(xs, hi), 1, w_hi, w_hi * hi)]
-        terms.append((len(xs), 1, self.tail_bound(len(pre)), 0))
-        return _sweep(terms, len(xs))
+        ends = ([max(r.lo, 0) for r in pre], [max(r.hi, 0) for r in pre])
+        cuts = tuple([bisect_left(xs, x) for x in side] for side in ends)
+        return _Sweep(self._sides(len(pre), ends, self.tail_bound(len(pre))), cuts, len(xs))
 
     def density_at(self, x, tol: float = 1e-9) -> tuple[Fraction, Fraction]:
         """Interval of width <= tol around the unnormalized density f(x)."""
@@ -261,14 +332,10 @@ class ParryDensity:
         target = _share(tol, 2)
         if tol not in self._z:
             pre = self.prefix(self.terms_for(target))
-            z_lo = Fraction(0)
-            z_hi = Fraction(0)
-            for n, r in enumerate(pre):
-                w_lo, w_hi = self._weight(n)
-                z_lo += w_lo * r.lo
-                z_hi += w_hi * r.hi
-            z_hi += self.tail_bound(len(pre))
-            self._z[tol] = (z_lo, z_hi)
+            ends = ([r.lo for r in pre], [r.hi for r in pre])
+            self._z[tol] = tuple(
+                Fraction(sum(p for _, _, p in side.numerators()) + side.tail, side.den)
+                for side in self._sides(len(pre), ends, self.tail_bound(len(pre))))
         return self._z[tol]
 
     def interval_mass(self, u, v, tol: float = 1e-9) -> tuple[Fraction, Fraction]:
@@ -298,30 +365,44 @@ class ParryDensity:
         two_pi_im = 2j * math.pi * m
         s = 0.0 + 0.0j
         width_err = 0.0
-        for n, r in enumerate(pre):
-            w_lo, w_hi = self._weight(n)
-            w_mid = float((w_lo + w_hi) / 2)
-            rn = float(r)
+        for w_mid, rn, width, w_width in self._term_floats(len(pre)):
             s += w_mid * (cmath.exp(two_pi_im * rn) - 1.0) / two_pi_im
             # |d/dr (e(mr)-1)/(2 pi i m)| = 1, so enclosure width passes straight through
-            width_err += w_mid * float(r.width) + float(w_hi - w_lo) / (math.pi * abs(m))
+            width_err += w_mid * width + w_width / (math.pi * abs(m))
         tail = float(self.tail_bound(len(pre))) / (math.pi * abs(m))
         z_lo, z_hi = self.normalizer(tol=1e-12)
-        z = float((z_lo + z_hi) / 2)
-        err = (abs(s) * float(z_hi - z_lo) / float(z_lo) ** 2
+        z, z_width = _mid_width(z_lo, z_hi)
+        err = (abs(s) * z_width / float(z_lo) ** 2
                + (tail + width_err + 1e-13 * len(pre)) / float(z_lo))
         return FourierCoefficient(s / z, err)
+
+    def _term_floats(self, n_terms: int) -> list[tuple[float, float, float, float]]:
+        """Per term n < n_terms of the prefix, the floats of (w_lo + w_hi)/2,
+        r_n, r_n's width and w_hi - w_lo, w = b^(-n); each is computed once
+        per prefix, as one correctly rounded division."""
+        table = self._floats
+        if len(table) < n_terms:
+            lo, hi = self._sides(n_terms)
+            d = lo.den * hi.den
+            new = []
+            for (n, w_lo, _), (_, w_hi, _) in zip(lo.numerators(hi.den), hi.numerators(lo.den)):
+                if n < len(table):
+                    break
+                r_mid, r_width = _mid_width(self._orbit[n].lo, self._orbit[n].hi)
+                new.append(((w_lo + w_hi) / (2 * d), r_mid, r_width, (w_hi - w_lo) / d))
+            table += reversed(new)
+        return table[:n_terms]
 
     # -- sampling and export ----------------------------------------------------
 
     def _knots(self, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
         """Piecewise-linear normalized CDF: knot abscissae and F values."""
         n_terms = self.terms_for(Fraction(tol))
-        pre = self.prefix(n_terms)
-        rs = sorted({float(r) for r in pre} | {0.0, 1.0})
+        floats = self._term_floats(len(self.prefix(n_terms)))
+        rs = sorted({r for _, r, _, _ in floats} | {0.0, 1.0})
         xs = np.array([r for r in rs if 0.0 <= r <= 1.0])
-        w_mid = np.array([float(sum(self._weight(n)) / 2) for n in range(len(pre))])
-        r_mid = np.array([float(r) for r in pre])
+        w_mid = np.array([w for w, _, _, _ in floats])
+        r_mid = np.array([r for _, r, _, _ in floats])
         heights = np.array([
             float(w_mid[r_mid > 0.5 * (xs[j] + xs[j + 1])].sum())
             for j in range(len(xs) - 1)
@@ -341,24 +422,24 @@ class ParryDensity:
     def _cdf_column(self, xs: list[Fraction], n_terms: int, z_tol: float) -> list[float]:
         """F(x) = (M_lo(x)/Z_hi + M_hi(x)/Z_lo)/2 at the grid xs = [i/g].
 
-        Between orbit points F(i/g) = (A + i/g C)/2 with A and C constant,
-        so each row is (n0 + i*n1)/d in integers: one correctly rounded
-        division, the float of the exact Fraction interval_mass(0, x) gives.
+        With M_j = (P_j + x Q_j) / D_j, F(i/g) has the denominator
+        E = 2g D_lo D_hi num(Z_lo) num(Z_hi) on every piece, so the sweep sums
+        the lower (upper) terms times K_lo = den(Z_hi) D_hi num(Z_lo)
+        (K_hi = den(Z_lo) D_lo num(Z_hi)) and each row is (n0 + i*n1) / E in
+        integers: one correctly rounded division, the float of the exact
+        Fraction interval_mass(0, x) gives.
         """
         g = len(xs)
         z_lo, z_hi = self.normalizer(tol=z_tol)
-
-        def over_z(s_lo, s_hi):  # s_lo/z_hi + s_hi/z_lo as an unreduced (num, den)
-            n1, d1 = s_lo.numerator * z_hi.denominator, s_lo.denominator * z_hi.numerator
-            n2, d2 = s_hi.numerator * z_lo.denominator, s_hi.denominator * z_lo.numerator
-            return n1 * d2 + n2 * d1, d1 * d2
-
+        sweep = self._mass_sweep(xs, n_terms)
+        d_lo, d_hi = (side.den for side in sweep.sides)
+        k_lo = z_hi.denominator * d_hi * z_lo.numerator
+        k_hi = z_lo.denominator * d_lo * z_hi.numerator
+        e = 2 * g * d_lo * d_hi * z_lo.numerator * z_hi.numerator
         column = []
-        for start, stop, (q_lo, p_lo), (q_hi, p_hi) in self._mass_sweep(xs, n_terms):
-            a_num, a_den = over_z(p_lo, p_hi)
-            c_num, c_den = over_z(q_lo, q_hi)
-            n0, n1, d = g * a_num * c_den, c_num * a_den, 2 * g * a_den * c_den
-            column += [(n0 + i * n1) / d for i in range(start, stop)]
+        for start, stop, n1, p in sweep.pieces((k_lo, k_hi)):
+            n0 = g * p
+            column += [(n0 + i * n1) / e for i in range(start, stop)]
         return column
 
     def grid_rows(self, grid_n: int = 512, tol: float = 1e-10) -> list[tuple[float, float, float]]:
@@ -374,11 +455,12 @@ class ParryDensity:
         if grid_n > 1:
             n_mass, z_tol = self._mass_terms(tol)  # grown before any sum is taken
         density = self._density_sweep(xs, self._density_terms(tol))
-        z_lo, z_hi = self.normalizer(tol=tol)
-        z = float((z_lo + z_hi) / 2)
-        f_col = []
-        for start, stop, (f_lo, _), (f_hi, _) in density:
-            f_col += [float((f_lo + f_hi) / 2) / z] * (stop - start)
+        z, _ = _mid_width(*self.normalizer(tol=tol))
+        d_lo, d_hi = (side.den for side in density.sides)
+        two_d = 2 * d_lo * d_hi
+        f_col = []  # float((f_lo + f_hi)/2) / z, with f_lo + f_hi over D_lo D_hi
+        for start, stop, f_sum, _ in density.pieces((d_hi, d_lo)):
+            f_col += [f_sum / two_d / z] * (stop - start)
         cdf_col = self._cdf_column(xs, n_mass, z_tol) if grid_n > 1 else [0.0]
         rows = [(i / grid_n, f, c) for i, (f, c) in enumerate(zip(f_col, cdf_col))]
         rows.append((1.0, rows[-1][1], 1.0))

@@ -15,6 +15,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -74,6 +75,17 @@ class MarkovSource:
     @property
     def n_contexts(self) -> int:
         return self.a**self.order
+
+    @cached_property
+    def walk_tables(self) -> tuple[list[list[float]], np.ndarray | None]:
+        """sample_digits' tables, computed once per source: each context's row
+        of cumulative probabilities as Python floats, and the cumulative
+        floats of the stationary law over contexts (None for order 0).  A
+        source pickled to pool workers after its first sample carries them."""
+        rows = [[float(sum(row[: j + 1])) for j in range(self.a)] for row in self.rows]
+        if self.order == 0:
+            return rows, None
+        return rows, np.cumsum([float(p) for p in stationary_distribution(self)])
 
     def __repr__(self) -> str:
         return f"MarkovSource(a={self.a}, order={self.order})"
@@ -272,12 +284,10 @@ def sample_digits(src: MarkovSource, n_digits: int, seed: int) -> np.ndarray:
     if n_digits < 1:
         raise ValueError("need n_digits >= 1")
     rng = np.random.default_rng(seed)
-    rows = [[float(sum(row[: j + 1])) for j in range(src.a)] for row in src.rows]
-    if src.order == 0:
+    rows, cpi = src.walk_tables
+    if cpi is None:
         ctx = 0
     else:
-        pi = stationary_distribution(src)
-        cpi = np.cumsum([float(p) for p in pi])
         ctx = int(np.searchsorted(cpi, rng.random(), side="right"))
         ctx = min(ctx, src.n_contexts - 1)
     a, n_contexts, last = src.a, src.n_contexts, src.a - 1

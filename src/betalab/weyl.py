@@ -203,6 +203,7 @@ def mean_decay_profile(
     cps = _checkpoints(n_points)
     digits = math.ceil(n_points * math.log(float(b.hi)) / math.log(a)) + 64
     seeds = [_sample_seed(seed, j) for j in range(samples)]
+    src.walk_tables  # solved once here, and pickled with src to any pool workers
     sample = partial(_sample_maxima, src, b, ms, cps, n_points, digits)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +20,8 @@ import betalab.cli as cli
 from betalab import precision, weyl
 from betalab.cli import UsageError, main, parse_point
 from betalab.exactnum import Quadratic
-from betalab.precision import parse_exact
+from betalab.parry import ParryDensity
+from betalab.precision import parse_beta, parse_exact
 
 # seed-0 artifact hashes of the benchmark's commands; read here, never written
 REFERENCE_HASHES = Path(__file__).resolve().parents[1] / "bench" / "reference_hashes.json"
@@ -155,6 +157,62 @@ def test_parry_artifacts_match_reference_hashes(tmp_path, label, beta):
     assert main(["parry", "--beta", beta, "--out", d]) == 0
     for name in ("parry.csv", "parry.json"):
         assert hashlib.sha256(_bytes(d, name)).hexdigest() == want[name], name
+
+
+# sha256 of parry.json and parry.csv at the command's defaults.  They change
+# only with a deliberate change of the Parry numbers.
+PARRY_PINS = {
+    "2.2": {
+        "parry.json": "3752f19842a739e38ae0fbbb68668c20664f1ab0994f2c716cefda51163f2829",
+        "parry.csv": "240fb7e2ebb8dce01ce07cbec328b7bfb0f95864ffa56ed1e06050ad83a0b9b5",
+    },
+    "5/2": {
+        "parry.json": "d41faa116a0240626fd34659d00965db818c0b784465d2fc530b8adef28774f6",
+        "parry.csv": "a811abe88b59e15ae121f3596f70b9e0eeeac80a4f0282ec48dc7a13019ece91",
+    },
+    "(1+sqrt5)/2": {
+        "parry.json": "364348523f7fd70fd76cf36ebb61d651ee87a7c0dc16b9736c749a82f8224018",
+        "parry.csv": "54ba38dfc5591a264f83d296c3e1c9305145068588d7353e1dbf892f935f1292",
+    },
+}
+
+
+@pytest.mark.parametrize("beta", sorted(PARRY_PINS))
+def test_parry_bytes_are_pinned(tmp_path, beta):
+    d = str(tmp_path)
+    assert main(["parry", "--beta", beta, "--out", d]) == 0
+    for name, want in PARRY_PINS[beta].items():
+        assert hashlib.sha256(_bytes(d, name)).hexdigest() == want, name
+
+
+def test_parry_writes_a_normalizer_past_the_int_digit_limit(tmp_path):
+    # 7/5's 80-term prefix gives a normalizer of about 19,000 bits, whose
+    # numerator has more decimal digits than Python converts by default
+    d = str(tmp_path)
+    assert main(["parry", "--beta", "7/5", "--out", d]) == 0
+    assert sorted(os.listdir(d)) == ["parry.csv", "parry.json", "parry_manifest.json"]
+    lo = _json(d, "parry.json")["normalizer"]["lo"]
+    limit = sys.get_int_max_str_digits()
+    assert limit and len(lo) > limit  # the process-wide limit still holds
+    sys.set_int_max_str_digits(0)
+    try:
+        assert Fraction(lo) == ParryDensity(parse_beta("7/5")).normalizer(1e-10)[0]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("count", ["-1", "-3"])
+def test_parry_rejects_a_negative_fourier_count(tmp_path, capsys, count):
+    d = str(tmp_path)
+    assert main(["parry", "--beta", "5/2", "--fourier", count, "--out", d]) == 1
+    assert "usage error: --fourier" in capsys.readouterr().err
+    assert os.listdir(d) == []
+
+
+def test_parry_fourier_zero_asks_for_no_coefficients(tmp_path):
+    d = str(tmp_path)
+    assert main(["parry", "--beta", "5/2", "--grid", "8", "--fourier", "0", "--out", d]) == 0
+    assert _json(d, "parry.json")["fourier"] == []
 
 
 def test_parry_decimal_base_certifies_no_identity(tmp_path, capsys):

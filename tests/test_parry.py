@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -123,6 +124,141 @@ def test_sweep_refines_before_summing(monkeypatch):
     assert [(lo, hi) for (lo, _), (hi, _) in pieces] == [rowwise_density(den, p, 1e-9) for p in xs]
     assert den.density_at(x) == rowwise_density(den, x, 1e-9)
     assert den._orbit is pre
+
+
+def fraction_sweep(terms, n_probes):
+    """The sweep summed in Fraction arithmetic, one gcd per addition: the
+    oracle of the integer sweep."""
+    at = {}
+    for term in terms:
+        at.setdefault(term[0], []).append(term)
+    starts = sorted({0} | {cut for cut in at if cut < n_probes})
+    stops = starts[1:] + [n_probes]
+    q = [Fraction(0), Fraction(0)]
+    q_at = {}
+    for stop in reversed(stops):
+        for _, j, q_j, _ in at.get(stop, ()):
+            q[j] += q_j
+        q_at[stop] = tuple(q)
+    p = [Fraction(0), Fraction(0)]
+    pieces = []
+    for start, stop in zip(starts, stops):
+        for _, j, _, p_j in at.get(start, ()):
+            p[j] += p_j
+        pieces.append((start, stop, (q_at[stop][0], p[0]), (q_at[stop][1], p[1])))
+    return pieces
+
+
+DYADIC_BOUNDS = st.builds(lambda m, k: Fraction(2**k + m, 2**k), st.integers(1, 2**70),
+                          st.integers(0, 300))
+DYADIC_ENDS = st.builds(lambda m, k: Fraction(m % (2**k + 1), 2**k), st.integers(0, 2**160),
+                        st.integers(0, 160))
+
+
+@st.composite
+def sweep_sides(draw, n_probes):
+    """One side: a dyadic bound of b, per-term cuts and optional dyadic ends,
+    and a tail with any denominator."""
+    bound = draw(DYADIC_BOUNDS)
+    cuts = draw(st.lists(st.integers(0, n_probes), max_size=12))
+    ends = draw(st.none() | st.lists(DYADIC_ENDS, min_size=len(cuts), max_size=len(cuts)))
+    tail = draw(st.just(Fraction(0)) | st.fractions(min_value=0, max_value=10, max_denominator=10**40))
+    return bound, cuts, ends, tail
+
+
+@given(st.integers(1, 10).flatmap(lambda g: st.tuples(st.just(g), sweep_sides(g), sweep_sides(g))),
+       st.tuples(st.integers(1, 2**90), st.integers(1, 2**90)))
+def test_integer_sweep_matches_fraction_sweep(case, scales):
+    n_probes, *sides = case
+    terms = []
+    for j, (bound, cuts, ends, tail) in enumerate(sides):
+        for n, cut in enumerate(cuts):
+            w = 1 / bound**n
+            terms.append((cut, j, w, w * ends[n] if ends is not None else 0))
+        terms.append((n_probes, j, tail, 0))
+    sweep = parry._Sweep(tuple(parry._Side(bound, len(cuts), ends, tail)
+                               for bound, cuts, ends, tail in sides),
+                         tuple(cuts for _, cuts, _, _ in sides), n_probes)
+    # the integer sums are the lower sum times den_lo * s_lo plus the upper
+    # sum times den_hi * s_hi
+    s_lo, s_hi = [side.den * scale for side, scale in zip(sweep.sides, scales)]
+    want = [(start, stop, q_lo * s_lo + q_hi * s_hi, p_lo * s_lo + p_hi * s_hi)
+            for start, stop, (q_lo, p_lo), (q_hi, p_hi) in fraction_sweep(terms, n_probes)]
+    assert list(sweep.pieces(scales)) == want
+    assert parry._per_probe(sweep) == [
+        tuple(sums) for start, stop, *sums in fraction_sweep(terms, n_probes) for _ in range(start, stop)]
+
+
+def test_side_rejects_a_bound_that_is_not_dyadic():
+    with pytest.raises(ValueError, match="not dyadic"):
+        parry._Side(Fraction(7, 5), 3)
+
+
+def per_term_fourier(den, m, tol):
+    """fourier with one Fraction sum per term and per float: the oracle of
+    the per-term float table."""
+    pre = den.prefix(den.terms_for(Fraction(tol) * abs(m) / 4))
+    two_pi_im = 2j * math.pi * m
+    s = 0.0 + 0.0j
+    width_err = 0.0
+    for n, r in enumerate(pre):
+        w_lo, w_hi = den._weight(n)
+        w_mid = float((w_lo + w_hi) / 2)
+        s += w_mid * (cmath.exp(two_pi_im * float(r)) - 1.0) / two_pi_im
+        width_err += w_mid * float(r.width) + float(w_hi - w_lo) / (math.pi * abs(m))
+    tail = float(den.tail_bound(len(pre))) / (math.pi * abs(m))
+    z_lo, z_hi = den.normalizer(tol=1e-12)
+    z = float((z_lo + z_hi) / 2)
+    err = (abs(s) * float(z_hi - z_lo) / float(z_lo) ** 2
+           + (tail + width_err + 1e-13 * len(pre)) / float(z_lo))
+    return parry.FourierCoefficient(s / z, err)
+
+
+def per_term_knots(den, tol=1e-12):
+    pre = den.prefix(den.terms_for(Fraction(tol)))
+    rs = sorted({float(r) for r in pre} | {0.0, 1.0})
+    xs = np.array([r for r in rs if 0.0 <= r <= 1.0])
+    w_mid = np.array([float(sum(den._weight(n)) / 2) for n in range(len(pre))])
+    r_mid = np.array([float(r) for r in pre])
+    heights = np.array([float(w_mid[r_mid > 0.5 * (xs[j] + xs[j + 1])].sum())
+                        for j in range(len(xs) - 1)])
+    cdf = np.concatenate([[0.0], np.cumsum(heights * np.diff(xs))])
+    return xs, cdf / cdf[-1]
+
+
+def test_term_floats_follow_the_prefix():
+    # the same calls on two densities, one read through the per-term float
+    # table and one through the per-term formula, after each event that
+    # replaces the prefix
+    b = parse_beta("2.2")
+    den, ref = ParryDensity(b), ParryDensity(b)
+
+    def check(*ms):
+        for m in ms:
+            assert den.fourier(m, 1e-10) == per_term_fourier(ref, m, 1e-10)
+        (xs, cdf), (want_xs, want_cdf) = den._knots(), per_term_knots(ref)
+        assert xs.tolist() == want_xs.tolist() and cdf.tolist() == want_cdf.tolist()
+        # enclosure widths of about 1e-45 vanish in fourier's error, so the
+        # table itself is checked against the current prefix
+        want = []
+        for n, r in enumerate(ref._orbit):
+            w_lo, w_hi = ref._weight(n)
+            want.append((float((w_lo + w_hi) / 2), float(r), float(r.width), float(w_hi - w_lo)))
+        assert den._term_floats(len(den._orbit)) == want
+
+    # the first call sums a 33-term prefix, then its normalizer(1e-12)
+    # regrows the prefix with new enclosures
+    assert den.terms_for(Fraction(1e-10) / 4) == 33
+    assert den.fourier(1, 1e-10) == per_term_fourier(ref, 1, 1e-10)
+    assert len(den._orbit) == len(ref._orbit) == 38
+    check(1, 2, 8)
+    # a probe inside an enclosure refines the prefix
+    x = den._orbit[3].midpoint()
+    assert den._orbit[3].lo < x < den._orbit[3].hi
+    den.density_at(x)
+    ref.density_at(x)
+    assert den.digits_required == ref.digits_required > 13
+    check(1, 2, 8)
 
 
 def test_integer_base_density_is_lebesgue():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from betalab import sources
 from betalab.sources import (
     MarkovSource,
     _chunk_length,
@@ -162,6 +163,22 @@ def test_sample_digits_matches_searchsorted_walk(src, n_digits, seed):
     got = sample_digits(src, n_digits, seed)
     want = _searchsorted_digits(src, n_digits, seed)
     assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+def test_stationary_law_is_solved_once_per_source(monkeypatch):
+    # the order-2 source of the benchmark's decay probe; the digits are the
+    # per-digit walk's, and the exact solve runs at the first sample only
+    src = MarkovSource(2, 2, [["3/4", "1/4"], ["2/5", "3/5"], ["1/2", "1/2"], ["1/5", "4/5"]])
+    want = [_searchsorted_digits(src, 100, seed).tolist() for seed in range(16)]
+    calls = []
+
+    def counted(source):
+        calls.append(source)
+        return stationary_distribution(source)
+
+    monkeypatch.setattr(sources, "stationary_distribution", counted)
+    assert [sample_digits(src, 100, seed).tolist() for seed in range(16)] == want
+    assert calls == [src]
 
 
 def test_sample_point_prefix_consistency():
