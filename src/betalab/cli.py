@@ -2,9 +2,12 @@
 
 Every experiment is a pure function of its flags, so the manifest (command,
 full argument set, output names, library versions; deliberately no timestamps)
-is enough to reproduce the artifact bytes.  Parallel sample loops merge in
-index order, so --workers does not change any output either, but replay
-guarantees are only claimed for --workers 1.
+is enough to reproduce the artifact bytes.  `decay` runs its independent
+samples in --workers processes, by default (0) one per available CPU and at
+most one per sample, or in-process when that comes to 1.  The samples merge
+in index order, so decay.json and decay.csv have the same bytes at every
+worker count (tests/test_cli.py::test_decay_bytes_are_pinned); only the
+manifest records the flag.
 
 Bases (--beta) and points (--x) share one descriptor grammar,
 `precision.parse_exact`; a descriptor it rejects, a zero denominator
@@ -338,6 +341,8 @@ def cmd_weyl(args, ws: Workspace) -> int:
 def cmd_decay(args, ws: Workspace) -> int:
     if args.N < 2:
         raise UsageError(f"--N must be at least 2, got {args.N}")
+    if args.workers < 0:
+        raise UsageError(f"--workers must be at least 0, got {args.workers}")
     b = parse_beta(args.beta)
     src = _make_source(args)
     ms = _number_list(args.ms, int)
@@ -640,7 +645,7 @@ def build_parser() -> _Parser:
     p.add_argument("--ms", default="1,2,3,4,5,6,7,8,512,640,768,896,1024")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fit-m-max", type=int, default=12)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=0, help="sample processes, 0 for one per CPU")
     _add_common(p)
     p.set_defaults(func=cmd_decay)
 

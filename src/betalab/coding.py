@@ -354,7 +354,9 @@ def estimate_near_diagonal(
     # bucket by window; consecutive entries of a shuffled order are i.i.d.
     order = rng.permutation(pool)
     eta_s = eta[order]
-    rank = np.argsort(eta_s, kind="stable")
+    # eta < 2^W: a narrow key lets the stable sort be a radix sort for W <= 16,
+    # and a stable sort's permutation does not depend on the key's dtype
+    rank = np.argsort(eta_s.astype(np.min_scalar_type((1 << W) - 1)), kind="stable")
     sorted_eta = eta_s[rank]
     same = sorted_eta[0::2][: len(sorted_eta) // 2] == sorted_eta[1::2]
     idx_a = order[rank[0::2][: len(same)][same]]

@@ -11,6 +11,7 @@ for the mass exponents.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import partial
 
@@ -48,13 +49,18 @@ def _primitive_base(n: int) -> int:
 
 
 def multiplicatively_independent(b: BetaNumber, a: int) -> bool | None:
-    """True/False when decidable (rational b vs integer a), None when the
-    caller has to assert it (algebraic or decimal b)."""
+    """True/False when decidable (rational b, or a pure surd v*sqrt(d), vs
+    integer a), None when the caller has to assert it (u + v*sqrt(d) with
+    u != 0, or decimal b)."""
     if a < 2:
         raise ValueError("alphabet size must be >= 2")
-    if b.kind != "rational":
-        return None
     v = b.exact_value()
+    if b.kind == "quadratic" and v.u == 0:
+        # odd powers of v*sqrt(d) are irrational, so b^s = a^t needs s even:
+        # b and a are dependent iff the rational b^2 = v^2 d and a are
+        v = v.v * v.v * v.d
+    elif b.kind != "rational":
+        return None
     if v.denominator != 1:
         return True  # (p/q)^s is never an integer power of a for q >= 2
     return _primitive_base(v.numerator) != _primitive_base(a)
@@ -144,6 +150,21 @@ def _sample_seed(seed: int, j: int) -> int:
     return int(np.random.SeedSequence([seed, j]).generate_state(1)[0])
 
 
+def _worker_count(workers: int, samples: int) -> int:
+    """Processes for `samples` independent samples: `workers` as given when
+    positive; for 0, one per CPU this process may run on, at most one per
+    sample."""
+    if workers < 0:
+        raise ValueError(f"workers must be >= 0, got {workers}")
+    if workers:
+        return workers
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, samples)
+
+
 def _sample_maxima(src, b, ms, cps, n_points, digits, seed_j) -> np.ndarray:
     """Checkpoint-max |S(m)| along one mu-drawn orbit; picklable for pools."""
     x0 = sample_point(src, digits, seed_j)
@@ -174,16 +195,18 @@ def mean_decay_profile(
     samples: int,
     seed: int,
     fit_m_max: int = 12,
-    workers: int = 1,
+    workers: int = 0,
 ) -> DecayProfile:
     """D(m) = sample mean over mu-drawn x0 of the checkpoint-max |S(m)|.
 
     Starting points are stationary-chain draws with enough base-a digits that
     the truncation sits below the orbit's b^N magnification.  Requires a and b
     multiplicatively independent: decided exactly when possible, recorded as
-    an assertion otherwise.  workers > 1 farms the per-sample orbits out to a
-    process pool; the merge is index-ordered, so results match workers = 1
-    bit for bit.  D(m) carries the additive noise floor of the checkpoint-max
+    an assertion otherwise.  The per-sample orbits run in a process pool of
+    `_worker_count(workers, samples)` processes (workers = 0: one per
+    available CPU), or in this process when that count is 1; the merge is
+    index-ordered, so every worker count gives the same values bit for bit.
+    D(m) carries the additive noise floor of the checkpoint-max
     statistic (a little above sqrt(pi) / (2 sqrt(N/4)), the mean |S| of
     equidistributed phases at the N/4 checkpoint), so a raw ratio
     D(m_high) / D(m_low) cannot fall much below floor / D(m_low).
@@ -194,6 +217,7 @@ def mean_decay_profile(
         raise ValueError("need at least 16 samples for a mean profile")
     if n_points < 2:
         raise ValueError(f"need n_points >= 2, got {n_points}")
+    workers = _worker_count(workers, samples)
     indep = multiplicatively_independent(b, a)
     if indep is False:
         raise ValueError(f"a = {a} and b = {b} are multiplicatively dependent")

@@ -7,6 +7,7 @@ plumbing contract (descriptor parsing, JSON/CSV layout, determinism).
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import sys
 from fractions import Fraction
@@ -396,8 +397,13 @@ DECAY_PINS = {
 }
 
 
-@pytest.mark.parametrize("label", ["iid", "markov"])
-def test_decay_bytes_are_pinned(tmp_path, label):
+# the default worker count keeps the bare ids; explicit counts are suffixed
+@pytest.mark.parametrize(
+    "label, workers",
+    [pytest.param(label, flags, id=label + "".join(f"-workers{n}" for n in flags[1:]))
+     for flags in ((), ("--workers", "1"), ("--workers", "3")) for label in ("iid", "markov")],
+)
+def test_decay_bytes_are_pinned(tmp_path, label, workers):
     if label == "iid":
         flags = ["--iid", "7/10,3/10", "--seed", "11"]
     else:
@@ -408,9 +414,72 @@ def test_decay_bytes_are_pinned(tmp_path, label):
         flags = ["--source", str(path), "--seed", "12"]
     d = str(tmp_path / "out")
     rc = main(["decay", "--beta", "(1+sqrt5)/2", *flags, "--N", "2000", "--samples", "16",
-               "--out", d])
+               *workers, "--out", d])
     assert rc == 0
     for name, want in DECAY_PINS[label].items():
+        assert hashlib.sha256(_bytes(d, name)).hexdigest() == want, name
+
+
+def test_decay_rejects_a_negative_worker_count(tmp_path, capsys):
+    d = str(tmp_path)
+    rc = main(["decay", "--beta", "(1+sqrt5)/2", "--iid", "1/2,1/2", "--N", "400",
+               "--samples", "16", "--workers", "-1", "--out", d])
+    assert rc == 1
+    assert "usage error: --workers must be at least 0, got -1" in capsys.readouterr().err
+    assert os.listdir(d) == []
+
+
+def test_precision_exhausted_in_a_pool_worker_exits_3(tmp_path, monkeypatch, capsys):
+    if multiprocessing.get_context().get_start_method() != "fork":
+        pytest.skip("only forked pool workers inherit the patched sampler")
+
+    def exhausted(src, digits, seed):
+        raise precision.PrecisionExhausted("budget cap reached in a worker")
+
+    monkeypatch.setattr(weyl, "sample_point", exhausted)
+    d = str(tmp_path)
+    rc = main(["decay", "--beta", "(1+sqrt5)/2", "--iid", "1/2,1/2", "--N", "400",
+               "--samples", "16", "--workers", "2", "--out", d])
+    assert rc == 3
+    assert "precision exhausted: budget cap reached in a worker" in capsys.readouterr().err
+    assert os.listdir(d) == []
+
+
+@pytest.mark.parametrize("beta", ["sqrt2", "sqrt8"])
+def test_decay_rejects_a_surd_dependent_on_the_alphabet(tmp_path, capsys, beta):
+    # sqrt2^2 = 2 and sqrt8^2 = 2^3, so neither orbit is independent of base-2 digits
+    d = str(tmp_path)
+    rc = main(["decay", "--beta", beta, "--iid", "1/2,1/2", "--N", "400", "--samples", "16",
+               "--out", d])
+    assert rc == 1
+    assert "multiplicatively dependent" in capsys.readouterr().err
+    assert os.listdir(d) == []
+
+
+# sha256 of counterexample.json and .csv at --seed 3.  W = 8, 12 and 20 give
+# the pair bucketing uint8, uint16 and uint32 sort keys.  They change only
+# with a deliberate change of the estimates.
+COUNTEREXAMPLE_PINS = {
+    "8": {
+        "counterexample.json": "4e4a01c19a0020ff08c3f713c7d879fef63aff009ed5700a35805bea38331f71",
+        "counterexample.csv": "c354af096b2e754701db8b7a36964071efeef68eef77efe418ea2d8b37ef45b5",
+    },
+    "12": {
+        "counterexample.json": "2edec6376f65807bab792067f1d4dab338e44abdfe128b60526d559c5c480fdd",
+        "counterexample.csv": "2d4a4ce1fc8d6643506f89cec5bfb41f83e56c6c0a95089231932a544dcfab4e",
+    },
+    "20": {
+        "counterexample.json": "f043323d18f8b2a70826915d27d93370351384d7dc7dcebf72b5db317eb711f7",
+        "counterexample.csv": "2f6dceb5a38a0a9dcf0ec8cab85e7b8607d85705afb1805bdf339870f7796df4",
+    },
+}
+
+
+@pytest.mark.parametrize("window", sorted(COUNTEREXAMPLE_PINS, key=int))
+def test_counterexample_bytes_are_pinned(tmp_path, window):
+    d = str(tmp_path)
+    assert main(["counterexample", "--seed", "3", "--window", window, "--out", d]) == 0
+    for name, want in COUNTEREXAMPLE_PINS[window].items():
         assert hashlib.sha256(_bytes(d, name)).hexdigest() == want, name
 
 

@@ -1,4 +1,5 @@
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from betalab.weyl import (
     _checkpoint_means,
     _checkpoints,
     _lhs_quadrature_cloud,
+    _worker_count,
     _window_sums,
     invariance_defect,
     lemma32_check,
@@ -65,6 +67,25 @@ def test_multiplicative_independence():
     assert multiplicatively_independent(parse_beta("6"), 12) is True
     assert multiplicatively_independent(parse_beta("3/2"), 2) is True
     assert multiplicatively_independent(PHI, 2) is None
+
+
+def test_pure_surd_independence_matches_brute_force_powers():
+    # b = v*sqrt(d) and a are dependent iff b^s = a^t for some s, t >= 1; at
+    # these sizes every dependent pair has a witness with s, t <= 12
+    for d in (2, 3, 5, 13):
+        for v in (Fraction(1), Fraction(2), Fraction(3), Fraction(4), Fraction(1, 2),
+                  Fraction(3, 2)):
+            if v * v * d <= 1:
+                continue
+            b = parse_beta(f"{v.numerator}*sqrt{d}/{v.denominator}")
+            q = b.exact_value()
+            assert (q.u, q.v, q.d) == (0, v, d)
+            powers = [q]
+            for _ in range(11):
+                powers.append(powers[-1] * q)
+            for a in range(2, 13):
+                witness = any(p.v == 0 and p.u == a**t for p in powers for t in range(1, 13))
+                assert multiplicatively_independent(b, a) is (not witness), (str(b), a)
 
 
 # -- rate formula ------------------------------------------------------------------
@@ -251,9 +272,41 @@ def test_mean_decay_profile_rejects_a_one_point_orbit():
 def test_mean_decay_profile_worker_determinism():
     src = iid_source([Fraction(1, 2), Fraction(1, 2)])
     kw = dict(ms=(1, 2, 8), n_points=400, samples=16, seed=4)
-    p1 = mean_decay_profile(src, PHI, 2, **kw)
-    p2 = mean_decay_profile(src, PHI, 2, workers=2, **kw)
-    assert p1.values == p2.values
+    serial = mean_decay_profile(src, PHI, 2, workers=1, **kw)
+    assert mean_decay_profile(src, PHI, 2, **kw).values == serial.values
+    assert mean_decay_profile(src, PHI, 2, workers=3, **kw).values == serial.values
+
+
+@pytest.mark.parametrize("cpus, want", [(1, 1), (64, 16)])
+def test_worker_count_follows_affinity_and_samples(monkeypatch, cpus, want):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert _worker_count(0, 16) == want
+    assert _worker_count(0, 10**6) == cpus
+    assert _worker_count(3, 16) == 3  # an explicit count is used as given
+    if want == 1:
+        # one CPU: the samples run in this process, with no pool
+        src = iid_source([Fraction(1, 2), Fraction(1, 2)])
+        prof = mean_decay_profile(src, PHI, 2, (1, 2), n_points=50, samples=16, seed=0)
+        assert len(prof.values) == 2
+
+
+def test_worker_count_without_affinity_masks(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert _worker_count(0, 16) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _worker_count(0, 16) == 1
+
+
+def test_worker_count_rejects_a_negative_count():
+    with pytest.raises(ValueError, match="workers must be >= 0"):
+        _worker_count(-1, 16)
 
 
 def test_mean_decay_profile_rejects_dependent_pair():
