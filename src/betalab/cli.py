@@ -130,6 +130,21 @@ def _number_list(text: str, kind) -> tuple:
     return tuple(vals)
 
 
+def _float_list(text: str, flag: str) -> tuple:
+    vals = _number_list(text, float)
+    if not all(map(math.isfinite, vals)):
+        raise UsageError(f"{flag} must be finite, got {text!r}")
+    return vals
+
+
+def _check_finite(args: argparse.Namespace) -> None:
+    """nan or inf in a float flag is a usage error; it would only reach the
+    artifacts as a non-JSON token."""
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise UsageError(f"--{name.replace('_', '-')} must be finite, got {value}")
+
+
 def _make_source(args):
     if getattr(args, "source", None):
         return load_source(args.source)
@@ -180,10 +195,12 @@ class Workspace:
         return os.path.join(self.dir, name)
 
     def write_json(self, payload: dict) -> None:
+        # encoded before the file opens, so a non-finite value (ValueError)
+        # leaves no partial artifact behind
+        text = json.dumps(payload, indent=2, sort_keys=True, default=_jsonable, allow_nan=False)
         name = f"{self.command}.json"
         with open(self._path(name), "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
-            fh.write("\n")
+            fh.write(text + "\n")
         self.outputs.append(name)
 
     def write_csv(self, header, rows) -> None:
@@ -254,8 +271,8 @@ def cmd_expand(args, ws: Workspace) -> int:
 def cmd_parry(args, ws: Workspace) -> int:
     if args.grid < 1:
         raise UsageError(f"--grid must be at least 1, got {args.grid}")
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise UsageError(f"--tol must be finite and positive, got {args.tol}")
+    if args.tol <= 0:
+        raise UsageError(f"--tol must be positive, got {args.tol}")
     if args.fourier < 0:
         raise UsageError(f"--fourier must be at least 0, got {args.fourier}")
     b = parse_beta(args.beta)
@@ -284,6 +301,8 @@ def cmd_parry(args, ws: Workspace) -> int:
 def cmd_orbit(args, ws: Workspace) -> int:
     if args.steps < 1:
         raise UsageError(f"--steps must be at least 1, got {args.steps}")
+    if args.digits_required < 1:
+        raise UsageError(f"--digits-required must be at least 1, got {args.digits_required}")
     b = parse_beta(args.beta)
     x = parse_point(args.x)
     pts, digs, bits = orbit_with_digits(
@@ -312,6 +331,8 @@ def cmd_orbit(args, ws: Workspace) -> int:
 def cmd_weyl(args, ws: Workspace) -> int:
     if args.N < 1:
         raise UsageError(f"--N must be at least 1, got {args.N}")
+    if args.digits_required < 1:
+        raise UsageError(f"--digits-required must be at least 1, got {args.digits_required}")
     b = parse_beta(args.beta)
     x = parse_point(args.x)
     ms = _number_list(args.m, int)
@@ -416,7 +437,7 @@ def cmd_lemma32(args, ws: Workspace) -> int:
     configs = []
     violations = 0
     for m in _number_list(args.m, int):
-        for r in _number_list(args.r, float):
+        for r in _float_list(args.r, "--r"):
             res = lemma32_check(
                 mu,
                 args.c,
@@ -459,6 +480,8 @@ def cmd_invariance(args, ws: Workspace) -> int:
         raise UsageError(f"--N must be at least 1, got {args.N}")
     if args.degrees < 1:
         raise UsageError(f"--degrees must be at least 1, got {args.degrees}")
+    if args.digits_required < 1:
+        raise UsageError(f"--digits-required must be at least 1, got {args.digits_required}")
     b = parse_beta(args.beta)
     x = parse_point(args.x)
     n = args.N
@@ -542,7 +565,7 @@ def cmd_counterexample(args, ws: Workspace) -> int:
             [e.scale for e in estimates], pair_samples=args.pairs, seed=args.seed
         )
     report = condition_violation_report(
-        proc, estimates, beta_probes=_number_list(args.beta_probes, float), control=control
+        proc, estimates, beta_probes=_float_list(args.beta_probes, "--beta-probes"), control=control
     )
     payload = {
         "schedule": params.to_dict(),
@@ -719,6 +742,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_finite(args)
         ws = Workspace(args.command, args.out)
         code = args.func(args, ws)
     except UsageError as exc:

@@ -6,6 +6,18 @@ mean-decay statements speak about is not computable; the proxy used
 everywhere is max |S_N'(m)| over the tail checkpoints {N/4, N/2, N}, biased
 upward and therefore conservative for decay claims.  alpha/beta are reserved
 for the mass exponents.
+
+Every orbit sum (`weyl_sums`, the decay samples, `invariance_defects`) takes
+its phases from one kernel, `_phases`, in real arithmetic only.  For
+ascending frequencies it yields the pair (cos 2 pi m x, sin 2 pi m x): from
+np.cos/np.sin of 2 pi ((m x) mod 1) at the first frequency and after a gap of
+more than _ROTATION_STEPS, else by rotating the previous pair by
+(cos 2 pi x, sin 2 pi x), one real multiply or add per operation.  Checkpoint
+means are real sums of each part, and |S| is math.hypot of the two.  numpy's
+cos, sin and mod of float64 and its elementwise multiply and add give the
+same bits under every x86 SIMD dispatch level, while its complex multiply and
+complex abs do not; so the artifacts built on these sums have the same bytes
+whichever kernels numpy selects for the CPU.
 """
 
 from __future__ import annotations
@@ -83,11 +95,60 @@ def _checkpoints(n: int) -> tuple[int, ...]:
     return tuple(sorted({max(1, n // 4), max(1, n // 2), n}))
 
 
-def _checkpoint_means(cur: np.ndarray, cps: tuple[int, ...]) -> list[complex]:
+def _checkpoint_means(cur: np.ndarray, cps: tuple[int, ...]) -> list:
+    """Mean of cur[:n] at each checkpoint n, as Python floats for a real cur
+    and complex numbers for a complex one."""
     idx = np.array([0] + list(cps[:-1]))
     seg = np.add.reduceat(cur, idx)
     tot = np.cumsum(seg)
-    return [complex(tot[k] / cps[k]) for k in range(len(cps))]
+    return [(tot[k] / cps[k]).item() for k in range(len(cps))]
+
+
+# A frequency at most this far above the previous one is reached by rotating
+# the previous phase pair; a wider gap takes cos/sin afresh.  A rotation step
+# (six real ufuncs) costs about a fifth of a cos/sin pair and adds a few ulps
+# of rounding.
+_ROTATION_STEPS = 8
+
+
+def _phases(xs: np.ndarray, ms):
+    """(cos 2 pi m xs, sin 2 pi m xs) for each m of the ascending, distinct ms.
+
+    The first pair and each pair more than _ROTATION_STEPS above the previous
+    one come from np.cos/np.sin of 2 pi ((m xs) mod 1); the others rotate the
+    previous pair by (cos 2 pi xs, sin 2 pi xs) once per unit of m.  The
+    yielded arrays are buffers that the next step overwrites, so read them
+    before advancing.
+    """
+    cos, sin, t, u = (np.empty_like(xs) for _ in range(4))
+    unit = None
+    prev = None
+
+    def direct(m, c, s):
+        np.multiply(xs, m, out=t)
+        np.mod(t, 1.0, out=t)
+        np.multiply(t, 2 * math.pi, out=t)
+        np.cos(t, out=c)
+        np.sin(t, out=s)
+
+    for m in ms:
+        if prev is None or m - prev > _ROTATION_STEPS:
+            direct(m, cos, sin)
+        else:
+            if unit is None:
+                unit = np.empty_like(xs), np.empty_like(xs)
+                direct(1, *unit)
+            c1, s1 = unit
+            for _ in range(m - prev):
+                # (cos, sin) <- (cos c1 - sin s1, sin c1 + cos s1)
+                np.multiply(sin, s1, out=u)
+                np.multiply(cos, s1, out=t)
+                np.multiply(sin, c1, out=sin)
+                np.add(sin, t, out=sin)
+                np.multiply(cos, c1, out=cos)
+                np.subtract(cos, u, out=cos)
+        prev = m
+        yield cos, sin
 
 
 def _orbit_floats(b: BetaNumber, x0, n: int, digits_required: int) -> np.ndarray:
@@ -114,15 +175,11 @@ def weyl_sums(
         raise ValueError(f"|m| capped at {MAX_FREQUENCY}")
     n_max = cps[-1]
     xs = _orbit_floats(b, x0, n_max, digits_required)
-    values = {}
-    for m in ms:
-        if m == 0:
-            for n in cps:
-                values[(n, 0)] = complex(1.0)
-            continue
-        cur = np.exp(2j * math.pi * m * xs[:n_max])
-        for n, sval in zip(cps, _checkpoint_means(cur, cps)):
-            values[(n, m)] = sval
+    values = {(n, 0): complex(1.0) for n in cps} if 0 in ms else {}
+    freqs = sorted(set(ms) - {0})
+    for m, (cos, sin) in zip(freqs, _phases(xs[:n_max], freqs)):
+        for n, re, im in zip(cps, _checkpoint_means(cos, cps), _checkpoint_means(sin, cps)):
+            values[(n, m)] = complex(re, im)
     return WeylSeries(values=values, orbit=xs)
 
 
@@ -168,21 +225,11 @@ def _worker_count(workers: int, samples: int) -> int:
 def _sample_maxima(src, b, ms, cps, n_points, digits, seed_j) -> np.ndarray:
     """Checkpoint-max |S(m)| along one mu-drawn orbit; picklable for pools."""
     x0 = sample_point(src, digits, seed_j)
-    z = np.exp(2j * math.pi * _orbit_floats(b, x0, n_points - 1, 9))
-    out = np.empty(len(ms))
-    cur = None
-    prev_m = None
-    for i, m in enumerate(ms):
-        if m == 0:
-            out[i] = 1.0
-            continue
-        if prev_m is not None and 0 < m - prev_m <= 8:
-            for _ in range(m - prev_m):
-                cur = cur * z
-        else:
-            cur = z**m
-        prev_m = m
-        out[i] = max(abs(v) for v in _checkpoint_means(cur, cps))
+    xs = _orbit_floats(b, x0, n_points - 1, 9)
+    out = np.ones(len(ms))  # D(0) = 1; ms is ascending, so 0 can only lead
+    freqs = [m for m in ms if m]
+    for i, (cos, sin) in enumerate(_phases(xs, freqs), start=len(ms) - len(freqs)):
+        out[i] = max(map(math.hypot, _checkpoint_means(cos, cps), _checkpoint_means(sin, cps)))
     return out
 
 
@@ -230,10 +277,13 @@ def mean_decay_profile(
     src.walk_tables  # solved once here, and pickled with src to any pool workers
     sample = partial(_sample_maxima, src, b, ms, cps, n_points, digits)
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import Pool
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(sample, seeds, chunksize=max(1, samples // (4 * workers))))
+        # imap hands back rows in index order and raises a sample's exception
+        # when it reaches it; leaving the block terminates the workers, so a
+        # failed sample ends the run without waiting for those still running
+        with Pool(workers) as pool:
+            rows = list(pool.imap(sample, seeds, chunksize=max(1, samples // (4 * workers))))
     else:
         rows = [sample(s) for s in seeds]
     totals = np.sum(np.stack(rows), axis=0)
@@ -503,10 +553,10 @@ def invariance_defects(series: WeylSeries, max_degree: int) -> list[float]:
         raise ValueError("degree must be >= 1")
     out = []
     worst = 0.0
-    for m in range(1, max_degree + 1):
-        em = np.exp(2j * math.pi * m * series.orbit)
-        worst = max(worst, abs(np.mean(em[:-1]) - np.mean(em[1:])))
-        out.append(float(worst))
+    for cos, sin in _phases(series.orbit, range(1, max_degree + 1)):
+        worst = max(worst, math.hypot(np.mean(cos[:-1]) - np.mean(cos[1:]),
+                                      np.mean(sin[:-1]) - np.mean(sin[1:])))
+        out.append(worst)
     return out
 
 

@@ -9,7 +9,9 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,6 +28,7 @@ from betalab.precision import parse_beta, parse_exact
 
 # seed-0 artifact hashes of the benchmark's commands; read here, never written
 REFERENCE_HASHES = Path(__file__).resolve().parents[1] / "bench" / "reference_hashes.json"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _json(d, name):
@@ -303,6 +306,7 @@ def test_exit_usage(tmp_path, capsys):
     # outside the closed-form regime: a domain error, not a crash
     assert main(["exponent", "--alpha", "2", "--beta", "2", "--grid", "0", "--out", d]) == 1
     capsys.readouterr()
+    assert os.listdir(d) == []
 
 
 @pytest.mark.parametrize(
@@ -382,19 +386,78 @@ def test_orbit_lengths_below_one_are_usage_errors(tmp_path, capsys, command, fla
     assert os.listdir(d) == []
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("command", ["orbit", "weyl", "invariance"])
+def test_digits_required_below_one_is_a_usage_error(tmp_path, capsys, command, value):
+    # below 1 no enclosure width would be asked of the orbit at all
+    d = str(tmp_path)
+    rc = main([command, "--beta", "2.2", "--x", "1/3", "--digits-required", value, "--out", d])
+    assert rc == 1
+    assert (f"usage error: --digits-required must be at least 1, got {value}"
+            in capsys.readouterr().err)
+    assert os.listdir(d) == []
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("exponent", "--alpha", "nan", "--beta", "1"), "--alpha"),
+        (("exponent", "--alpha", "0.5", "--beta", "inf"), "--beta"),
+        (("parry", "--beta", "5/2", "--tol=-inf"), "--tol"),
+        (("lemma32", "--c", "nan"), "--c"),
+        (("lemma32", "--mu", "selfsim", "--p0", "inf"), "--p0"),
+        (("lemma32", "--r", "0.1,nan"), "--r"),
+        (("selfsim", "--beta", "2.2", "--xi-max", "inf"), "--xi-max"),
+        (("counterexample", "--beta-probes", "0.5,inf"), "--beta-probes"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else v[0],
+)
+def test_non_finite_float_flags_are_usage_errors(tmp_path, capsys, argv, flag):
+    d = str(tmp_path)
+    assert main([*argv, "--out", d]) == 1
+    assert f"usage error: {flag} must be finite" in capsys.readouterr().err
+    assert os.listdir(d) == []
+
+
+def test_write_json_refuses_non_finite_values(tmp_path):
+    ws = cli.Workspace("exponent", str(tmp_path))
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        ws.write_json({"closed_form": float("nan")})
+    assert os.listdir(tmp_path) == [] and ws.outputs == []
+
+
 # sha256 of decay.json and decay.csv for two small runs on base phi, taken
-# with numpy 2.4 on x86-64 Linux (the Weyl powers go through libm's cpow).
-# They change only with a deliberate change of decay's numbers.
+# with numpy 2.4 on x86-64 Linux.  The phases come from weyl._phases in real
+# arithmetic, so the bytes do not depend on numpy's SIMD dispatch
+# (test_pinned_bytes_at_the_baseline_dispatch).  They change only with a
+# deliberate change of decay's numbers.
 DECAY_PINS = {
     "iid": {
-        "decay.json": "81e76849eb3da46254929c7bbaa78f1b1bb0224e09f3b4a460ed53c772df9e35",
-        "decay.csv": "5470697c4c2d96b502ae67615f164fb04e621902a17786a4846d14c4815e7d97",
+        "decay.json": "153d3d6160ed0094780833305d4f4b7f5d596373b16168029e20b2004136c1cb",
+        "decay.csv": "a7bc63397c68feade0dcdd9abc0aba33221c3f399582f19b5ebd007af515cf85",
     },
     "markov": {
-        "decay.json": "b0de93c36c31f926ab86d9339a72895e6b8617769bd1784aff5ab3efce5dd4ac",
-        "decay.csv": "fbb24757a4f29e4987b1a436d30946281f808cec8fb933922e99ceb0258b9535",
+        "decay.json": "02de4176a39807c62085b6eea9f9c31e881b853ea060d6f0e0f131bb30a05cb4",
+        "decay.csv": "f058eae77fdcd86e7d0974f3c183c4748eefc8130b784eb6d0a964741bfd40ac",
     },
 }
+
+
+def _markov_source(tmp_path) -> Path:
+    """The order-2 source of the benchmark's decay probe, as a file."""
+    path = tmp_path / "markov2.json"
+    rows = [["3/4", "1/4"], ["2/5", "3/5"], ["1/2", "1/2"], ["1/5", "4/5"]]
+    path.write_text(json.dumps({"alphabet_size": 2, "order": 2, "rows": rows}))
+    return path
+
+
+def _decay_pin_argv(label: str, source: Path) -> list[str]:
+    """The command of the DECAY_PINS run `label`; the Markov run reads `source`."""
+    if label == "iid":
+        flags = ["--iid", "7/10,3/10", "--seed", "11"]
+    else:
+        flags = ["--source", str(source), "--seed", "12"]
+    return ["decay", "--beta", "(1+sqrt5)/2", *flags, "--N", "2000", "--samples", "16"]
 
 
 # the default worker count keeps the bare ids; explicit counts are suffixed
@@ -404,18 +467,8 @@ DECAY_PINS = {
      for flags in ((), ("--workers", "1"), ("--workers", "3")) for label in ("iid", "markov")],
 )
 def test_decay_bytes_are_pinned(tmp_path, label, workers):
-    if label == "iid":
-        flags = ["--iid", "7/10,3/10", "--seed", "11"]
-    else:
-        # the order-2 source of the benchmark's decay probe
-        path = tmp_path / "markov2.json"
-        rows = [["3/4", "1/4"], ["2/5", "3/5"], ["1/2", "1/2"], ["1/5", "4/5"]]
-        path.write_text(json.dumps({"alphabet_size": 2, "order": 2, "rows": rows}))
-        flags = ["--source", str(path), "--seed", "12"]
     d = str(tmp_path / "out")
-    rc = main(["decay", "--beta", "(1+sqrt5)/2", *flags, "--N", "2000", "--samples", "16",
-               *workers, "--out", d])
-    assert rc == 0
+    assert main([*_decay_pin_argv(label, _markov_source(tmp_path)), *workers, "--out", d]) == 0
     for name, want in DECAY_PINS[label].items():
         assert hashlib.sha256(_bytes(d, name)).hexdigest() == want, name
 
@@ -440,6 +493,31 @@ def test_precision_exhausted_in_a_pool_worker_exits_3(tmp_path, monkeypatch, cap
     d = str(tmp_path)
     rc = main(["decay", "--beta", "(1+sqrt5)/2", "--iid", "1/2,1/2", "--N", "400",
                "--samples", "16", "--workers", "2", "--out", d])
+    assert rc == 3
+    assert "precision exhausted: budget cap reached in a worker" in capsys.readouterr().err
+    assert os.listdir(d) == []
+
+
+def test_a_failed_pooled_sample_stops_the_run(tmp_path, monkeypatch, capsys):
+    # each worker's first sample fails and every later one would take 10 s:
+    # the run must end at the first failure, not after the samples in flight
+    if multiprocessing.get_context().get_start_method() != "fork":
+        pytest.skip("only forked pool workers inherit the patched sampler")
+    started = set()
+
+    def first_fails(src, digits, seed):
+        if os.getpid() not in started:
+            started.add(os.getpid())
+            raise precision.PrecisionExhausted("budget cap reached in a worker")
+        time.sleep(10)
+        raise AssertionError("a sample ran after the first failure")
+
+    monkeypatch.setattr(weyl, "sample_point", first_fails)
+    d = str(tmp_path)
+    t0 = time.perf_counter()
+    rc = main(["decay", "--beta", "(1+sqrt5)/2", "--iid", "1/2,1/2", "--N", "20000",
+               "--samples", "64", "--workers", "2", "--out", d])
+    assert time.perf_counter() - t0 < 5
     assert rc == 3
     assert "precision exhausted: budget cap reached in a worker" in capsys.readouterr().err
     assert os.listdir(d) == []
@@ -483,6 +561,74 @@ def test_counterexample_bytes_are_pinned(tmp_path, window):
         assert hashlib.sha256(_bytes(d, name)).hexdigest() == want, name
 
 
+# -- bytes across numpy's SIMD dispatch ----------------------------------------------
+
+# numpy picks some kernels at run time by the CPU's instruction set; disabling
+# every dispatchable level in a child process makes it run numpy's baseline
+# kernels, as on an x86-64 CPU without AVX2.  Other architectures and glibc's
+# own per-CPU variants are not covered.
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__ as CPU_DISPATCH
+except ImportError:  # numpy 1.x
+    CPU_DISPATCH = []
+
+_DISPATCH_CHILD = """
+import hashlib, json, sys
+from pathlib import Path
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+from betalab.cli import main
+runs, out_dir = json.loads(sys.argv[1]), Path(sys.argv[2])
+hashes = {"enabled": [f for f in __cpu_dispatch__ if __cpu_features__[f]]}
+for label, argv in runs.items():
+    assert main([*argv, "--out", str(out_dir / label)]) == 0, label
+    hashes[label] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                     for p in (out_dir / label).iterdir()}
+print(json.dumps(hashes))
+"""
+
+
+def _dispatch_runs(source: Path) -> dict:
+    """label -> (argv, pinned hashes or None) for every pinned command and one
+    invariance run, whose bytes are pinned by the in-process run."""
+    runs = {f"decay-{k}": (_decay_pin_argv(k, source), DECAY_PINS[k]) for k in DECAY_PINS}
+    runs.update({f"parry-{b}": (["parry", "--beta", b], PARRY_PINS[b]) for b in PARRY_PINS})
+    runs["counterexample-8"] = (["counterexample", "--seed", "3", "--window", "8"],
+                                COUNTEREXAMPLE_PINS["8"])
+    runs["invariance"] = (["invariance", "--beta", "(1+sqrt5)/2", "--x", "314159/999983",
+                           "--N", "20000"], None)
+    return runs
+
+
+@pytest.fixture(scope="module")
+def baseline_dispatch_hashes(tmp_path_factory):
+    """Artifact hashes of _dispatch_runs, written by one child process with
+    every dispatchable SIMD level disabled."""
+    if not CPU_DISPATCH:
+        pytest.skip("this numpy dispatches no SIMD levels at run time")
+    tmp = tmp_path_factory.mktemp("dispatch")
+    runs = {label: argv for label, (argv, _) in _dispatch_runs(_markov_source(tmp)).items()}
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(CPU_DISPATCH),
+               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-c", _DISPATCH_CHILD, json.dumps(runs), str(tmp / "child")],
+        env=env, capture_output=True, text=True, timeout=600, check=True,
+    )
+    return json.loads(child.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("label", list(_dispatch_runs(Path("markov2.json"))))
+def test_pinned_bytes_at_the_baseline_dispatch(baseline_dispatch_hashes, tmp_path, label):
+    child = baseline_dispatch_hashes
+    assert child["enabled"] == []  # the child ran numpy's baseline kernels only
+    argv, want = _dispatch_runs(Path("markov2.json"))[label]
+    if want is None:
+        d = str(tmp_path / "out")
+        assert main([*argv, "--out", d]) == 0
+        want = {n: hashlib.sha256(_bytes(d, n)).hexdigest() for n in os.listdir(d)}
+    for name, digest in want.items():
+        assert child[label][name] == digest, name
+
+
 @pytest.mark.parametrize("level", ["0", "3"])
 def test_selfsim_without_samples_certifies_nothing(tmp_path, capsys, level):
     # an empty cloud has no defect to bound and no coverage to report
@@ -515,6 +661,7 @@ def test_exit_precision_unresolvable_cut(tmp_path, capsys):
     )
     assert rc == 3
     assert "precision exhausted" in capsys.readouterr().err
+    assert os.listdir(d) == []
 
 
 def test_exit_precision_undecided_ln_enclosure(tmp_path, monkeypatch, capsys):
@@ -523,6 +670,7 @@ def test_exit_precision_undecided_ln_enclosure(tmp_path, monkeypatch, capsys):
     rc = main(["counterexample", "--K", "1", "--pairs", "1000", "--out", str(tmp_path)])
     assert rc == 3
     assert "precision exhausted" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_exit_certification_failure_writes_no_manifest(tmp_path, monkeypatch, capsys):

@@ -13,12 +13,16 @@ from betalab.precision import parse_beta
 from betalab.sources import iid_source
 from betalab.weyl import (
     _NUFFT_ERROR,
+    MAX_FREQUENCY,
+    WeylSeries,
     _checkpoint_means,
     _checkpoints,
     _lhs_quadrature_cloud,
+    _phases,
     _worker_count,
     _window_sums,
     invariance_defect,
+    invariance_defects,
     lemma32_check,
     mean_decay_profile,
     multiplicatively_independent,
@@ -47,6 +51,97 @@ def test_weyl_equidistribution_for_integer_base():
     series = weyl_sums(parse_beta("2"), x, (4096,), (1, 5))
     assert abs(series.s(4096, 1)) < 0.1
     assert abs(series.s(4096, 5)) < 0.1
+
+
+# -- the phase kernel against the complex-exponential paths it replaced ---------------
+
+EPS = np.finfo(float).eps
+
+
+def _phase_tolerance(m: int) -> float:
+    """Bound on the gap between two float evaluations of a mean of e(m x_i):
+    each rounds the phase 2 pi m x to within a few ulps of 2 pi |m|, and
+    cos/sin, exp or a rotation step add a few ulps of 1."""
+    return 1e-12 + 16 * abs(m) * EPS
+
+
+def _power_maxima(xs, ms, cps):
+    """Checkpoint-max |S(m)| by complex powers: z**m, or cur * z across a gap
+    of at most 8 (the per-sample path the kernel replaced)."""
+    z = np.exp(2j * math.pi * xs)
+    out, cur, prev = [], None, None
+    for m in ms:
+        if prev is not None and 0 < m - prev <= 8:
+            for _ in range(m - prev):
+                cur = cur * z
+        else:
+            cur = z**m
+        prev = m
+        out.append(max(abs(v) for v in _checkpoint_means(cur, cps)))
+    return out
+
+
+def _exp_defects(xs, max_degree):
+    """Running max of |E(e_m) - E(e_m o T)| by one complex exponential per m."""
+    out, worst = [], 0.0
+    for m in range(1, max_degree + 1):
+        em = np.exp(2j * math.pi * m * xs)
+        worst = max(worst, abs(np.mean(em[:-1]) - np.mean(em[1:])))
+        out.append(float(worst))
+    return out
+
+
+@given(
+    n=st.integers(100, 20_000),
+    seed=st.integers(0, 2**32 - 1),
+    first=st.integers(1, MAX_FREQUENCY),
+    gaps=st.lists(st.one_of(st.integers(1, 8), st.integers(9, 4096)), max_size=12),
+)
+def test_phase_kernel_matches_complex_powers(n, seed, first, gaps):
+    xs = np.random.default_rng(seed).random(n)
+    ms = [first]
+    for g in gaps:
+        if ms[-1] + g <= MAX_FREQUENCY:
+            ms.append(ms[-1] + g)
+    cps = _checkpoints(n)
+    fast = [max(map(math.hypot, _checkpoint_means(c, cps), _checkpoint_means(s, cps)))
+            for c, s in _phases(xs, ms)]
+    for m, got, want in zip(ms, fast, _power_maxima(xs, ms, cps), strict=True):
+        assert abs(got - want) <= _phase_tolerance(m), (m, got - want)
+
+
+@given(n=st.integers(100, 20_000), seed=st.integers(0, 2**32 - 1), degree=st.integers(1, 64))
+def test_invariance_defects_match_complex_exponentials(n, seed, degree):
+    xs = np.random.default_rng(seed).random(n + 1)
+    got = invariance_defects(WeylSeries(values={}, orbit=xs), degree)
+    want = _exp_defects(xs, degree)
+    assert max(abs(g - w) for g, w in zip(got, want, strict=True)) <= 1e-14
+
+
+@given(
+    desc=st.sampled_from(("2", "5/2", "(1+sqrt5)/2", "2.2")),
+    num=st.integers(1, 2**30 - 1),
+    n=st.integers(100, 4000),
+    ms=st.lists(st.integers(-5000, 5000), min_size=1, max_size=8),
+)
+def test_weyl_sums_match_complex_exponentials(desc, num, n, ms):
+    cps = _checkpoints(n)
+    series = weyl_sums(parse_beta(desc), Fraction(num, 2**30), cps, ms)
+    for m in ms:
+        cur = np.exp(2j * math.pi * m * series.orbit[:n])
+        for cp, want in zip(cps, _checkpoint_means(cur, cps)):
+            assert abs(series.s(cp, m) - want) <= _phase_tolerance(m), (m, cp)
+
+
+def test_phase_kernel_rotation_and_direct_steps():
+    # gaps of 1..8 rotate, 9 and more start afresh; either way the pair is
+    # (cos, sin) of 2 pi m x to within the rounding of the phase
+    xs = np.random.default_rng(3).random(1000)
+    ms = [1, 2, 10, 18, 27, 1000, 1008, 2**20]
+    for m, (c, s) in zip(ms, _phases(xs, ms), strict=True):
+        phase = 2 * math.pi * np.mod(m * xs, 1.0)
+        assert np.max(np.abs(c - np.cos(phase))) <= _phase_tolerance(m)
+        assert np.max(np.abs(s - np.sin(phase))) <= _phase_tolerance(m)
 
 
 def test_invariance_defect_budget():
@@ -279,13 +374,13 @@ def test_mean_decay_profile_worker_determinism():
 
 @pytest.mark.parametrize("cpus, want", [(1, 1), (64, 16)])
 def test_worker_count_follows_affinity_and_samples(monkeypatch, cpus, want):
-    import concurrent.futures
+    import multiprocessing.pool
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(multiprocessing.pool, "Pool", no_pool)
     assert _worker_count(0, 16) == want
     assert _worker_count(0, 10**6) == cpus
     assert _worker_count(3, 16) == 3  # an explicit count is used as given
