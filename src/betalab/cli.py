@@ -183,15 +183,16 @@ def _exact_str(x: Fraction) -> str:
 
 
 class Workspace:
-    """Artifact writer for one command invocation; records output names."""
+    """Artifact writer for one command invocation; records output names.
+    The directory is made at the first write, so a usage error leaves none."""
 
     def __init__(self, command: str, out_dir: str):
         self.command = command
         self.dir = out_dir
         self.outputs: list[str] = []
-        os.makedirs(out_dir, exist_ok=True)
 
     def _path(self, name: str) -> str:
+        os.makedirs(self.dir, exist_ok=True)
         return os.path.join(self.dir, name)
 
     def write_json(self, payload: dict) -> None:

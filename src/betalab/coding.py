@@ -13,6 +13,11 @@ convention, and every report records it.  Schedule arithmetic is exact: stage
 masses are rational, ln(n) enters only through certified rational enclosures,
 and the marker-window measures come from an avoid-pattern transfer count, so
 the admissibility inequalities are theorem-grade, not float comparisons.
+
+The Monte-Carlo kernels are time-major: digits and R are held as
+cols[t, sample], one contiguous row per coordinate, so word codes, marker
+windows and bit keys are whole-row operations over cache-sized slices of
+samples.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .exactnum import ln_bounds
 from .precision import UndeterminedValue
 
 _GROUPS = 25  # batch groups for Monte-Carlo standard errors
+_CHUNK = 16384  # samples per cache-sized slice of the time-major R kernel
 
 
 def _certify(n: int, pred, bits: int = 128):
@@ -234,30 +240,52 @@ class CodedProcess:
         if self.W < 1:
             raise ValueError("window must be >= 1")
         if self.W > 63:
-            # the bucket key holds one R bit per past coordinate in an int64
+            # the bucket key holds one R bit per past coordinate in a 64-bit word
             raise ValueError("window must be <= 63")
 
     @property
     def span(self) -> int:
         return self.params.span
 
-    def _r_values(self, digits: np.ndarray) -> np.ndarray:
-        """R at every coordinate whose full read window fits in `digits`."""
-        n, length = digits.shape
+    def _r_values(self, cols: np.ndarray) -> np.ndarray:
+        """R[t, sample] at every time t whose full read window fits in the
+        time-major digits cols[t, sample]."""
+        length, n = cols.shape
+        R = np.empty((length - self.span + 1, n), dtype=bool)
+        for a in range(0, n, _CHUNK):
+            R[:, a : a + _CHUNK] = self._r_chunk(cols[:, a : a + _CHUNK])
+        return R
+
+    def _r_key(self, cols: np.ndarray, lsb_first: bool = False) -> np.ndarray:
+        """The T rows of _r_values packed into one unsigned integer per
+        sample, row 0 the most (or, with lsb_first, the least) significant
+        bit; T <= 64."""
+        length, n = cols.shape
+        dtype = np.min_scalar_type((1 << (length - self.span + 1)) - 1)
+        key = np.empty(n, dtype=dtype)
+        for a in range(0, n, _CHUNK):
+            R = self._r_chunk(cols[:, a : a + _CHUNK])
+            key[a : a + _CHUNK] = _pack_rows(R[::-1] if lsb_first else R, dtype)
+        return key
+
+    def _r_chunk(self, cols: np.ndarray) -> np.ndarray:
+        """_r_values for one slice of samples."""
+        length, n = cols.shape
         out = length - self.span + 1
-        R = np.zeros((n, out), dtype=bool)
+        R = np.zeros((out, n), dtype=bool)
         l = self.params.alphabet_size
         for s in self.params.stages:
-            # codes of the words starting at columns 0..out+window-1, by Horner
-            # over shifted column slices, in the narrowest signed type that
+            # codes of the words starting at times 0..out+window-1, by Horner
+            # over shifted row slices, in the narrowest signed type that
             # holds -l**depth, so every code and partial code*l fits
             nc = out + s.window
-            codes = digits[:, :nc].astype(np.min_scalar_type(-(l**s.depth)))
+            codes = cols[:nc].astype(np.min_scalar_type(-(l**s.depth)))
             for i in range(1, s.depth):
-                codes = codes * l + digits[:, i : i + nc]
+                codes *= l
+                codes += cols[i : i + nc]
             occ = codes < s.count
             for j in range(s.window + 1):
-                R |= occ[:, j : j + out]
+                R |= occ[j : j + out]
         return R
 
     def exact_marginal(self) -> Fraction:
@@ -272,7 +300,7 @@ class CodedProcess:
         digits = rng.integers(
             0, self.params.alphabet_size, (n, self.span), dtype=np.int8
         )
-        r = self._r_values(digits)[:, 0]
+        r = self._r_values(np.ascontiguousarray(digits.T))[0]
         p = float(np.mean(r))
         return p, math.sqrt(max(p * (1 - p), 1e-12) / n)
 
@@ -301,6 +329,16 @@ class NearDiagonalEstimate:
 def _check_groups(n_pairs: int) -> None:
     if n_pairs < _GROUPS:
         raise ValueError(f"{n_pairs} pairs cannot fill {_GROUPS} batch groups; need >= {_GROUPS}")
+
+
+def _pack_rows(bits: np.ndarray, dtype) -> np.ndarray:
+    """sum_t bits[t] 2^(T-1-t) per column of T bit rows, row 0 the most
+    significant; dtype must hold 2^T - 1."""
+    key = bits[0].astype(dtype)
+    for row in bits[1:]:
+        key <<= 1
+        key |= row
+    return key
 
 
 def _batch_means(hits: np.ndarray) -> tuple:
@@ -344,19 +382,17 @@ def estimate_near_diagonal(
     W = proc.W
     pool = past_samples if past_samples is not None else int(2.4 * pair_samples) + 64
     seg_len = W + span - 1
-    digits = rng.integers(0, l, (pool, seg_len), dtype=np.int8)
-    R_past = proc._r_values(digits)  # width W: R_{-W+1}..R_0
-    eta = np.zeros(pool, dtype=np.int64)
-    for j in range(W):
-        eta |= R_past[:, j].astype(np.int64) << j
-    overlap = digits[:, W:]  # coords 1..span-1, feed the future digits
+    # drawn sample-major, the stream's order; the kernels read a time-major copy
+    cols = np.ascontiguousarray(rng.integers(0, l, (pool, seg_len), dtype=np.int8).T)
+    # eta < 2^W holds R_{-W+1+j} in bit j; its narrow type lets the stable
+    # sort be a radix sort for W <= 16
+    eta = proc._r_key(cols, lsb_first=True)
+    overlap = cols[W:]  # coords 1..span-1, feed the future digits
 
     # bucket by window; consecutive entries of a shuffled order are i.i.d.
     order = rng.permutation(pool)
     eta_s = eta[order]
-    # eta < 2^W: a narrow key lets the stable sort be a radix sort for W <= 16,
-    # and a stable sort's permutation does not depend on the key's dtype
-    rank = np.argsort(eta_s.astype(np.min_scalar_type((1 << W) - 1)), kind="stable")
+    rank = np.argsort(eta_s, kind="stable")
     sorted_eta = eta_s[rank]
     same = sorted_eta[0::2][: len(sorted_eta) // 2] == sorted_eta[1::2]
     idx_a = order[rank[0::2][: len(same)][same]]
@@ -369,12 +405,19 @@ def estimate_near_diagonal(
 
     F = int(math.ceil(math.log2(n_scale))) + 8
     fresh = rng.integers(0, l, (2, take, F), dtype=np.int8)
-    pow2 = 2.0 ** -np.arange(1, F + 1)
+    mat = np.empty((span - 1 + F, take), dtype=np.int8)  # one side's future digits
     xs = []
     for side, idx in enumerate((idx_a, idx_b)):
-        mat = np.concatenate([overlap[idx], fresh[side]], axis=1)
-        R_fut = proc._r_values(mat)  # width F: R_1..R_F
-        xs.append(R_fut @ pow2)
+        np.take(overlap, idx, axis=1, out=mat[: span - 1])
+        mat[span - 1 :] = fresh[side].T
+        # x = sum_{t<=F} R_t 2^-t over R_1..R_F: for F <= 53 an F-bit integer
+        # times 2^-F, exact in a double; past that rounded, so summed in the
+        # order of the row-major matmul
+        if F <= 53:
+            xs.append(proc._r_key(mat) * 2.0**-F)
+        else:
+            R_fut = np.ascontiguousarray(proc._r_values(mat).T)
+            xs.append(R_fut @ 2.0 ** -np.arange(1, F + 1))
     hits = (np.abs(xs[0] - xs[1]) < 1.0 / n_scale).astype(float)
     est, se = _batch_means(hits)
     return NearDiagonalEstimate(

@@ -25,7 +25,8 @@ import numpy as np
 from .precision import BetaNumber
 
 TWO_PI = 2.0 * math.pi
-_SAMPLE_DEPTH = 64  # digits per sample
+_SAMPLE_DEPTH = 64  # digits per sample, a multiple of 4
+_SAMPLE_BLOCK = 1024  # samples per reused block of uniforms (512 KB)
 _EDGE_EPS = 1e-9  # float slack on cylinder edges in the singularity witness
 _PROBES_PER_WINDOW = 64  # log-spaced probes per dyadic window of the decay profile
 
@@ -104,18 +105,40 @@ def ssm_selfsim_residual(m: SelfSimilarMeasure, xi: float) -> float:
 
 
 def ssm_sample(m: SelfSimilarMeasure, n: int, seed: int = 0) -> np.ndarray:
-    """n draws of sum_{i<=64} w_i b^-i; truncation <= b^-64/(b-1)."""
+    """n draws of sum_{i<=64} w_i b^-i; truncation <= b^-64/(b-1).
+
+    The uniforms fill one reused block at a time, in the order of a single
+    (n, 64) draw.  Each sample adds its 64 exact terms in four interleaved
+    partial sums s_k over the digits i = k mod 4, in order, and returns
+    (s_0 + s_2) + (s_1 + s_3): the order in which OpenBLAS's double
+    matrix-vector kernel summed a row of `bits @ weights`.  Fixed here, it
+    makes the bytes independent of the block size and of the BLAS build.
+    """
     if n < 1:
         raise ValueError("need n >= 1 samples")
     rng = np.random.default_rng(seed)
-    weights = m.b ** -np.arange(1, _SAMPLE_DEPTH + 1, dtype=float)
-    out = np.zeros(n, dtype=float)
-    # digit blocks keep the boolean matrix small at 10^6-sample scale
-    block = int(4e7 // _SAMPLE_DEPTH)
+    weights = (m.b ** -np.arange(1, _SAMPLE_DEPTH + 1, dtype=float))[:, None]
+    block = min(n, _SAMPLE_BLOCK)
+    u = np.empty((block, _SAMPLE_DEPTH))
+    bits = np.empty((block, _SAMPLE_DEPTH), dtype=bool)
+    bits_t = np.empty((_SAMPLE_DEPTH, block), dtype=bool)
+    terms = np.empty((_SAMPLE_DEPTH, block))  # time-major: terms[i, sample]
+    out = np.empty(n)
     for i in range(0, n, block):
-        j = min(n, i + block)
-        bits = rng.random((j - i, _SAMPLE_DEPTH)) < m.p1
-        out[i:j] = bits @ weights
+        r = min(block, n - i)
+        rng.random(out=u[:r])
+        np.less(u[:r], m.p1, out=bits[:r])
+        # time-major terms turn each partial sum into contiguous row adds
+        np.copyto(bits_t[:, :r], bits[:r].T)
+        t = terms[:, :r]
+        np.copyto(t, bits_t[:, :r])
+        t *= weights  # w_i b^-i or 0, exact
+        acc = t[0:4]
+        for k in range(4, _SAMPLE_DEPTH, 4):
+            acc += t[k : k + 4]
+        np.add(acc[0], acc[2], out=out[i : i + r])
+        acc[1] += acc[3]
+        out[i : i + r] += acc[1]
     return out
 
 

@@ -434,9 +434,10 @@ def _window_sums(ys: np.ndarray, m: int, b: float, q: int) -> np.ndarray:
         coeff = np.exp(2j * math.pi * mid / (_OVERSAMPLE * w) * ub)
         a = ub * (size / (_OVERSAMPLE * w))  # x_j in fine-grid steps 2 pi / size
         idx = np.floor(a).astype(np.int64)[:, None] + np.arange(1 - _SPREAD, _SPREAD + 1)
-        vals = coeff[:, None] * np.exp(-(math.pi**2 / _SPREAD_TM2) * (a[:, None] - idx) ** 2)
-        idx, vals = (idx % size).ravel(), vals.ravel()
-        fine += np.bincount(idx, vals.real, size) + 1j * np.bincount(idx, vals.imag, size)
+        gauss = np.exp(-(math.pi**2 / _SPREAD_TM2) * (a[:, None] - idx) ** 2)
+        idx = (idx % size).ravel()
+        fine.real += np.bincount(idx, (coeff.real[:, None] * gauss).ravel(), size)
+        fine.imag += np.bincount(idx, (coeff.imag[:, None] * gauss).ravel(), size)
     k = np.arange(lo - mid, hi - mid + 1)
     grid = (np.fft.ifft(fine)[k % size] * (size * math.sqrt(math.pi / _SPREAD_TM2))
             * np.exp((_SPREAD_TM2 / size**2) * k * k))

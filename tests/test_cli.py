@@ -341,7 +341,7 @@ def test_zero_denominator_in_source_file_exits_1(tmp_path, capsys):
     d = str(tmp_path / "out")
     assert main(["conditions", "--source", str(path), "--out", d]) == 1
     assert "error: zero denominator" in capsys.readouterr().err
-    assert os.listdir(d) == []
+    assert not os.path.exists(d)  # not even an empty directory
 
 
 @pytest.mark.parametrize(
@@ -361,7 +361,7 @@ def test_bad_source_file_exits_1(tmp_path, capsys, text, message):
     d = str(tmp_path / "out")
     assert main(["conditions", "--source", str(path), "--out", d]) == 1
     assert message.format(path=path) in capsys.readouterr().err
-    assert os.listdir(d) == []
+    assert not os.path.exists(d)
 
 
 @pytest.mark.parametrize("n", ["0", "1"])
@@ -417,6 +417,19 @@ def test_non_finite_float_flags_are_usage_errors(tmp_path, capsys, argv, flag):
     assert main([*argv, "--out", d]) == 1
     assert f"usage error: {flag} must be finite" in capsys.readouterr().err
     assert os.listdir(d) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("counterexample", "--seed", "3", "--pairs", "10"), ("lemma32", "--r", "0.1,nan")],
+    ids=lambda v: v[0],
+)
+def test_usage_errors_leave_no_out_directory(tmp_path, capsys, argv):
+    # the flags are checked inside the command, after the workspace exists
+    d = tmp_path / "new"
+    assert main([*argv, "--out", str(d)]) == 1
+    assert "error" in capsys.readouterr().err
+    assert not d.exists()
 
 
 def test_write_json_refuses_non_finite_values(tmp_path):

@@ -1,13 +1,16 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from betalab import coding
 from betalab.coding import (
     CodedProcess,
     ConstructionParams,
@@ -77,8 +80,8 @@ def _brute_marginal(proc: CodedProcess) -> Fraction:
     span = proc.span
     hits = 0
     for word in itertools.product(range(l), repeat=span):
-        arr = np.array([word], dtype=np.int64)
-        if proc._r_values(arr)[0, 0]:
+        cols = np.array([word], dtype=np.int64).T
+        if proc._r_values(cols)[0, 0]:
             hits += 1
     return Fraction(hits, l**span)
 
@@ -118,14 +121,20 @@ def _processes_and_digits(draw):
     return proc, digits
 
 
-@given(_processes_and_digits())
-def test_r_values_match_sliding_windows(case):
+@given(_processes_and_digits(), st.sampled_from((1, 3, coding._CHUNK)))
+def test_r_values_match_sliding_windows(case, chunk):
     proc, digits = case
-    got = proc._r_values(digits)
+    cols = np.ascontiguousarray(digits.T)  # the kernel reads time-major digits
+    with mock.patch.object(coding, "_CHUNK", chunk):
+        got = proc._r_values(cols).T
+        key, lsb_key = proc._r_key(cols), proc._r_key(cols, lsb_first=True)
     want = _sliding_window_r_values(proc, digits)
     assert got.dtype == want.dtype == bool
     assert got.shape == want.shape == (len(digits), digits.shape[1] - proc.span + 1)
     assert np.array_equal(got, want)
+    T = want.shape[1]
+    assert key.tolist() == [sum(int(r) << (T - 1 - t) for t, r in enumerate(row)) for row in want]
+    assert lsb_key.tolist() == [sum(int(r) << t for t, r in enumerate(row)) for row in want]
 
 
 def test_exact_marginal_against_enumeration():
@@ -254,3 +263,120 @@ def test_estimator_floor_formula():
     assert abs(e.floor - 0.25 / math.log(172) ** 4) < 1e-15
     d = e.to_dict()
     assert set(d) >= {"estimate", "std_err", "scale", "floor"}
+
+
+# -- the time-major estimator against the row-major one it replaced ------------------
+
+
+def _row_major_r_values(proc: CodedProcess, digits: np.ndarray) -> np.ndarray:
+    """R[sample, t] from row-major digits[sample, t]."""
+    n, length = digits.shape
+    out = length - proc.span + 1
+    R = np.zeros((n, out), dtype=bool)
+    l = proc.params.alphabet_size
+    for s in proc.params.stages:
+        nc = out + s.window
+        codes = digits[:, :nc].astype(np.min_scalar_type(-(l**s.depth)))
+        for i in range(1, s.depth):
+            codes = codes * l + digits[:, i : i + nc]
+        occ = codes < s.count
+        for j in range(s.window + 1):
+            R |= occ[:, j : j + out]
+    return R
+
+
+def _row_major_estimate(proc, stage, pair_samples, past_samples, seed):
+    """estimate_near_diagonal on row-major digit matrices: int64 eta keys,
+    concatenated pair matrices and x by a bool @ float64 matmul."""
+    st_ = proc.params.stages[stage - 1]
+    rng = np.random.default_rng(seed)
+    l, span, W = proc.params.alphabet_size, proc.span, proc.W
+    pool = past_samples or int(2.4 * pair_samples) + 64
+    digits = rng.integers(0, l, (pool, W + span - 1), dtype=np.int8)
+    R_past = _row_major_r_values(proc, digits)
+    eta = np.zeros(pool, dtype=np.int64)
+    for j in range(W):
+        eta |= R_past[:, j].astype(np.int64) << j
+    overlap = digits[:, W:]
+    order = rng.permutation(pool)
+    eta_s = eta[order]
+    rank = np.argsort(eta_s.astype(np.min_scalar_type((1 << W) - 1)), kind="stable")
+    sorted_eta = eta_s[rank]
+    same = sorted_eta[0::2][: len(sorted_eta) // 2] == sorted_eta[1::2]
+    idx_a = order[rank[0::2][: len(same)][same]]
+    idx_b = order[rank[1::2][same]]
+    if len(idx_a) == 0:
+        raise ValueError("no matched past pairs; enlarge past_samples")
+    take = min(pair_samples, len(idx_a))
+    sel = rng.permutation(len(idx_a))[:take]
+    idx_a, idx_b = idx_a[sel], idx_b[sel]
+    F = int(math.ceil(math.log2(st_.n))) + 8
+    fresh = rng.integers(0, l, (2, take, F), dtype=np.int8)
+    pow2 = 2.0 ** -np.arange(1, F + 1)
+    xs = []
+    for side, idx in enumerate((idx_a, idx_b)):
+        mat = np.concatenate([overlap[idx], fresh[side]], axis=1)
+        xs.append(_row_major_r_values(proc, mat) @ pow2)
+    hits = (np.abs(xs[0] - xs[1]) < 1.0 / st_.n).astype(float)
+    est, se = coding._batch_means(hits)
+    return NearDiagonalEstimate(estimate=est, std_err=se, scale=st_.n, n_pairs=take, window=W)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@functools.lru_cache(maxsize=None)
+def _schedule(l: int, K: int) -> ConstructionParams:
+    return build_schedule(l, Fraction(1, 4), K)
+
+
+def _sparse_process(l: int, window: int, depth: int, n: int) -> ConstructionParams:
+    """One stage of mass l^-depth: long runs of R = 0, so even 63-bit past
+    windows find partners."""
+    stage = Stage(n=n, window=window, depth=depth, count=1,
+                  y_mass=Fraction(1, l**depth), ycal_mass=Fraction(0))
+    return ConstructionParams(l, Fraction(1, 4), (stage,))
+
+
+@st.composite
+def _estimator_cases(draw):
+    l = draw(st.sampled_from((3, 4, 5)))
+    if draw(st.booleans()):
+        params = _schedule(l, draw(st.integers(1, 3)))
+    else:
+        # scales 2^45 and up take the F > 53 future-bit path
+        params = _sparse_process(l, draw(st.integers(0, 3)), draw(st.integers(3, 5)),
+                                 draw(st.sampled_from((4, 172, 2**45, 2**50))))
+    # 8|9 and 16|17 straddle the byte edges of the eta key
+    W = draw(st.sampled_from((params.span, 8, 9, 16, 17, 63)))
+    stages = [k for k, s in enumerate(params.stages, 1) if W >= s.window + s.depth]
+    assume(stages)
+    return (CodedProcess(params, W=W), draw(st.sampled_from(stages)),
+            draw(st.integers(25, 120)), draw(st.sampled_from((None, 3000))),
+            draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from((5, 64, coding._CHUNK))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_estimator_cases())
+def test_near_diagonal_matches_the_row_major_estimator(case):
+    proc, stage, pairs, past, seed, chunk = case
+    want = _outcome(_row_major_estimate, proc, stage, pairs, past, seed)
+    with mock.patch.object(coding, "_CHUNK", chunk):
+        got = _outcome(estimate_near_diagonal, proc, stage, pairs, past, seed)
+    assert got == want
+
+
+@pytest.mark.parametrize("n", [2**45, 2**45 + 1, 2**50, 2**60])
+def test_near_diagonal_past_53_future_bits_matches_the_row_major_estimator(n):
+    # F = ceil(log2 n) + 8 future bits: from 54 on x no longer fits a double
+    # exactly and is summed as the row-major matmul did
+    stages = (Stage(n=4, window=1, depth=1, count=1, y_mass=Fraction(1, 3), ycal_mass=Fraction(0)),
+              Stage(n=n, window=2, depth=2, count=2, y_mass=Fraction(2, 9), ycal_mass=Fraction(0)))
+    proc = CodedProcess(ConstructionParams(3, Fraction(1, 4), stages))
+    want = _row_major_estimate(proc, 2, 2000, None, 5)
+    assert estimate_near_diagonal(proc, 2, pair_samples=2000, seed=5) == want
+    assert want.n_pairs == 2000

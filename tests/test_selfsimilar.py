@@ -1,11 +1,13 @@
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from betalab import selfsimilar
 from betalab.precision import parse_beta
 from betalab.selfsimilar import (
     SelfSimilarMeasure,
@@ -102,6 +104,43 @@ def test_sampler_mean_matches_moment():
     # E x = sum_k E d_k b^-k = p1/(b-1)
     pts = ssm_sample(B3, 200000, seed=2)
     assert abs(float(np.mean(pts)) - 0.5 / 2.0) < 0.002
+
+
+def _sample_in_documented_order(m: SelfSimilarMeasure, u_row: np.ndarray) -> float:
+    """One sample from its 64 uniforms: four interleaved partial sums over
+    the digits i = k mod 4, added as (s0 + s2) + (s1 + s3)."""
+    weights = (m.b ** -np.arange(1, 65, dtype=float)).tolist()
+    s = [0.0] * 4
+    for i, u in enumerate(u_row.tolist()):
+        s[i % 4] += weights[i] if u < m.p1 else 0.0
+    return (s[0] + s[2]) + (s[1] + s[3])
+
+
+def test_sampler_sums_in_the_documented_order():
+    meas = SelfSimilarMeasure(parse_beta("5/2"), 0.7, 0.3)
+    n = 1030  # a ragged second block
+    u = np.random.default_rng(12).random((n, 64))
+    got = ssm_sample(meas, n, seed=12)
+    want = [_sample_in_documented_order(meas, row) for row in u]
+    assert got.tolist() == want
+
+
+def test_sampler_bytes_do_not_depend_on_the_block(monkeypatch):
+    n = 20002  # ragged against both block sizes
+    want = ssm_sample(B22, n, seed=11)
+    monkeypatch.setattr(selfsimilar, "_SAMPLE_BLOCK", 7)
+    assert ssm_sample(B22, n, seed=11).tobytes() == want.tobytes()
+
+
+def test_sampler_memory_does_not_grow_with_the_cloud():
+    # the uniforms are drawn into one reused block, not as a (n, 64) matrix
+    tracemalloc.start()
+    try:
+        ssm_sample(B22, 200000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_sampler_rejects_an_empty_cloud():
