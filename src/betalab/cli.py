@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -35,6 +36,7 @@ import numpy as np
 from .betashift import classify, format_digits, greedy_expansion, specification_constants
 from .coding import (
     CodedProcess,
+    SparsePool,
     build_schedule,
     condition_violation_report,
     control_near_diagonal,
@@ -70,7 +72,7 @@ from .sources import (
 from .weyl import (
     _checkpoints,
     invariance_defects,
-    lemma32_check,
+    lemma32_sweep,
     mean_decay_profile,
     optimize_exponent_grid,
     predicted_exponent,
@@ -435,24 +437,16 @@ def _lemma32_measure(args, b):
 def cmd_lemma32(args, ws: Workspace) -> int:
     b = parse_beta(args.beta)
     mu = _lemma32_measure(args, b)
-    configs = []
-    violations = 0
-    for m in _number_list(args.m, int):
-        for r in _float_list(args.r, "--r"):
-            res = lemma32_check(
-                mu,
-                args.c,
-                args.d,
-                m,
-                r,
-                b,
-                quad_nodes=args.nodes,
-                cloud_size=args.cloud,
-                seed=args.seed,
-            )
-            bad = res.slack < -res.quad_error
-            violations += bad
-            configs.append({"m": m, "r": r, **asdict(res), "violated": bool(bad)})
+    ms = _number_list(args.m, int)
+    rs = _float_list(args.r, "--r")
+    results = lemma32_sweep(
+        mu, args.c, args.d, ms, rs, b, quad_nodes=args.nodes, cloud_size=args.cloud, seed=args.seed
+    )
+    configs = [
+        {"m": m, "r": r, **asdict(res), "violated": bool(res.slack < -res.quad_error)}
+        for (m, r), res in zip([(m, r) for m in ms for r in rs], results)
+    ]
+    violations = sum(c["violated"] for c in configs)
     ws.write_json(
         {
             "beta": args.beta,
@@ -550,16 +544,19 @@ def cmd_counterexample(args, ws: Workspace) -> int:
     eps = Fraction(args.epsilon)
     params = build_schedule(args.l, eps, args.K)
     proc = CodedProcess(params, W=args.window or None)
-    estimates = [
-        estimate_near_diagonal(
-            proc,
-            k,
-            pair_samples=args.pairs,
-            past_samples=args.past or None,
-            seed=args.seed + k - 1,
-        )
-        for k in range(1, args.K + 1)
-    ]
+    try:
+        estimates = [
+            estimate_near_diagonal(
+                proc,
+                k,
+                pair_samples=args.pairs,
+                past_samples=args.past or None,
+                seed=args.seed + k - 1,
+            )
+            for k in range(1, args.K + 1)
+        ]
+    except SparsePool as exc:
+        raise UsageError(f"{exc}; raise --past or shorten --window") from None
     control = None
     if not args.skip_control:
         control = control_near_diagonal(
@@ -739,10 +736,16 @@ def build_parser() -> _Parser:
     return top
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built on the first `main` call rather than at import, since
+    set_defaults(func=...) keeps the cmd_* functions as they are at build time."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         _check_finite(args)
         ws = Workspace(args.command, args.out)
         code = args.func(args, ws)

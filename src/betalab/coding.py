@@ -326,6 +326,11 @@ class NearDiagonalEstimate:
         return {**asdict(self), "floor": self.floor, "meets_floor": self.meets_floor}
 
 
+class SparsePool(ValueError):
+    """Too few pasts of the pool share their window with another to fill the
+    batch groups: the pool is too small for the window."""
+
+
 def _check_groups(n_pairs: int) -> None:
     if n_pairs < _GROUPS:
         raise ValueError(f"{n_pairs} pairs cannot fill {_GROUPS} batch groups; need >= {_GROUPS}")
@@ -397,8 +402,11 @@ def estimate_near_diagonal(
     same = sorted_eta[0::2][: len(sorted_eta) // 2] == sorted_eta[1::2]
     idx_a = order[rank[0::2][: len(same)][same]]
     idx_b = order[rank[1::2][same]]
-    if len(idx_a) == 0:
-        raise ValueError("no matched past pairs; enlarge past_samples")
+    if len(idx_a) < _GROUPS:
+        raise SparsePool(
+            f"{2 * len(idx_a)} of the pool's {pool} pasts found a partner with the same "
+            f"{W}-digit window; at least {_GROUPS} matched pairs are needed"
+        )
     take = min(pair_samples, len(idx_a))
     sel = rng.permutation(len(idx_a))[:take]
     idx_a, idx_b = idx_a[sel], idx_b[sel]

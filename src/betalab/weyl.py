@@ -415,16 +415,9 @@ def _nufft_error() -> float:
 _NUFFT_ERROR = _nufft_error()  # about 3.3e-14
 
 
-def _window_sums(ys: np.ndarray, m: int, b: float, q: int) -> np.ndarray:
-    """|sum_j e(m b^z y_j)| at the midpoint nodes z_k = (k + 1/2)/q, for a
-    sorted nonempty ys, each within len(ys) * _NUFFT_ERROR."""
-    w = (ys[-1] - ys[0]) or 1.0
-    u = ys - 0.5 * (ys[0] + ys[-1])  # centring drops a phase |G| does not see
-    # theta / h for theta = 2 pi |m| b^z; G(-theta) is conj G(theta)
-    t = abs(m) * _OVERSAMPLE * w * np.power(b, (np.arange(q) + 0.5) / q)
-    cell = np.floor(t).astype(np.int64)
-    lo, hi = int(cell[0]) - _HALF_WINDOW + 1, int(cell[-1]) + _HALF_WINDOW
-    # type 1: f(k) = sum_j c_j e^{i k x_j} = G((mid + k) h), x_j = h u_j, |k| <= half
+def _fine_grid(u: np.ndarray, w: float, lo: int, hi: int) -> np.ndarray:
+    """G((lo + i) h) for i = 0 .. hi - lo, for a cloud u centred to |u| <= w/2,
+    by a type-1 NUFFT: f(k) = sum_j c_j e^{i k x_j} = G((mid + k) h), x_j = h u_j."""
     mid = (lo + hi) // 2
     half = max(mid - lo, hi - mid)
     size = 2 * _FINE_RATIO * half
@@ -439,33 +432,57 @@ def _window_sums(ys: np.ndarray, m: int, b: float, q: int) -> np.ndarray:
         fine.real += np.bincount(idx, (coeff.real[:, None] * gauss).ravel(), size)
         fine.imag += np.bincount(idx, (coeff.imag[:, None] * gauss).ravel(), size)
     k = np.arange(lo - mid, hi - mid + 1)
-    grid = (np.fft.ifft(fine)[k % size] * (size * math.sqrt(math.pi / _SPREAD_TM2))
+    return (np.fft.ifft(fine)[k % size] * (size * math.sqrt(math.pi / _SPREAD_TM2))
             * np.exp((_SPREAD_TM2 / size**2) * k * k))
-    # type 3: interpolate the grid to the nodes
-    out = np.empty(q)
-    for block in range(0, q, _BLOCK):
-        n = cell[block : block + _BLOCK, None] + np.arange(1 - _HALF_WINDOW, _HALF_WINDOW + 1)
-        dt = t[block : block + _BLOCK, None] - n
-        weights = np.sinc(dt) * np.exp(-dt * dt / (2 * _SINC_VAR))
-        out[block : block + _BLOCK] = np.abs(np.einsum("ij,ij->i", weights, grid[n - lo]))
-    return out
 
 
-def _lhs_quadrature_cloud(ys: np.ndarray, n_total: int, m: int, b: float, q: int) -> float:
-    """Midpoint rule for int_0^1 |sum_{y in window} e(m b^z y)/n|^2 dz, the
-    inner sums by a type-3 NUFFT (`_window_sums`); within
-    (2 eps + eps^2) (len(ys)/n_total)^2 of the direct sum, eps = _NUFFT_ERROR."""
+def _window_sums(ys: np.ndarray, m: int, b: float, qs) -> list[np.ndarray]:
+    """|sum_j e(m b^z y_j)| at the midpoint nodes z_k = (k + 1/2)/q for each q
+    of qs, for a sorted nonempty ys, each within len(ys) * _NUFFT_ERROR.  One
+    grid covers every q's interpolation windows, so the cloud is spread once."""
+    w = (ys[-1] - ys[0]) or 1.0
+    u = ys - 0.5 * (ys[0] + ys[-1])  # centring drops a phase |G| does not see
+    # theta / h for theta = 2 pi |m| b^z; G(-theta) is conj G(theta)
+    ts = [abs(m) * _OVERSAMPLE * w * np.power(b, (np.arange(q) + 0.5) / q) for q in qs]
+    cells = [np.floor(t).astype(np.int64) for t in ts]
+    lo = min(int(cell[0]) for cell in cells) - _HALF_WINDOW + 1
+    hi = max(int(cell[-1]) for cell in cells) + _HALF_WINDOW
+    grid = _fine_grid(u, w, lo, hi)
+    # type 3: interpolate the grid to each q's nodes
+    sums = []
+    for t, cell in zip(ts, cells):
+        out = np.empty(len(t))
+        for block in range(0, len(t), _BLOCK):
+            n = cell[block : block + _BLOCK, None] + np.arange(1 - _HALF_WINDOW, _HALF_WINDOW + 1)
+            dt = t[block : block + _BLOCK, None] - n
+            weights = np.sinc(dt) * np.exp(-dt * dt / (2 * _SINC_VAR))
+            out[block : block + _BLOCK] = np.abs(np.einsum("ij,ij->i", weights, grid[n - lo]))
+        sums.append(out)
+    return sums
+
+
+def _lhs_quadrature_cloud(ys: np.ndarray, n_total: int, m: int, b: float, q: int) -> tuple:
+    """Midpoint rules on q and 2q nodes for int_0^1 |sum_{y in window}
+    e(m b^z y)/n|^2 dz, the inner sums of both from one type-3 NUFFT
+    (`_window_sums`); each within (2 eps + eps^2) (len(ys)/n_total)^2 of the
+    direct sum, eps = _NUFFT_ERROR."""
     if len(ys) == 0:
-        return 0.0
-    return float(np.sum(_window_sums(ys, m, b, q) ** 2)) / n_total**2 / q
+        return 0.0, 0.0
+    sums = _window_sums(ys, m, b, (q, 2 * q))
+    return tuple(float(np.sum(s**2)) / n_total**2 / len(s) for s in sums)
 
 
-def _lhs_quadrature_uniform(c: float, d: float, m: int, b: float, q: int) -> float:
-    """Analytic inner integral for Lebesgue on [0,1]: (e(th d)-e(th c))/(2 pi i th)."""
-    zs = (np.arange(q) + 0.5) / q
-    theta = 2.0 * math.pi * m * np.power(b, zs)
-    inner = (np.exp(1j * theta * d) - np.exp(1j * theta * c)) / (1j * theta)
-    return float(np.mean(np.abs(inner) ** 2))
+def _lhs_quadrature_uniform(c: float, d: float, m: int, b: float, q: int) -> tuple:
+    """Midpoint rules on q and 2q nodes for Lebesgue on [0,1], with the
+    analytic inner integral (e(th d)-e(th c))/(2 pi i th)."""
+
+    def rule(n: int) -> float:
+        zs = (np.arange(n) + 0.5) / n
+        theta = 2.0 * math.pi * m * np.power(b, zs)
+        inner = (np.exp(1j * theta * d) - np.exp(1j * theta * c)) / (1j * theta)
+        return float(np.mean(np.abs(inner) ** 2))
+
+    return rule(q), rule(2 * q)
 
 
 def _near_pairs_sorted(ys: np.ndarray, r: float) -> int:
@@ -473,6 +490,79 @@ def _near_pairs_sorted(ys: np.ndarray, r: float) -> int:
     lo = np.searchsorted(ys, ys - r, side="right")
     hi = np.searchsorted(ys, ys + r, side="left")
     return int(np.sum(hi - lo))
+
+
+def lemma32_sweep(
+    mu,
+    c: float,
+    d: float,
+    ms,
+    rs,
+    b: BetaNumber,
+    quad_nodes: int = 256,
+    cloud_size: int = 20000,
+    seed: int = 0,
+) -> list[Lemma32Result]:
+    """`lemma32_check` at every (m, r), m outer and r inner.
+
+    The cloud is drawn, checked and windowed once.  The left side does not
+    depend on r, so each distinct m's pair of quadratures (one spread of the
+    cloud) is computed once and serves every r; each r's near-pair mass is
+    counted once and serves every m.
+    """
+    if any(m == 0 for m in ms):
+        raise ValueError("m must be nonzero")
+    if any(r <= 0 for r in rs):
+        raise ValueError("r must be positive")
+    if not 0 <= c < d <= 1:
+        raise ValueError("need 0 <= c < d <= 1")
+    bf = float(b)
+    if isinstance(mu, str):
+        if mu != "uniform":
+            raise ValueError(f"unknown analytic measure {mu!r}")
+        mass = d - c
+        ell = d - c
+        nears = [ell * ell if r >= ell else 2 * r * ell - r * r for r in rs]
+        nufft = 0.0
+        lhs_pair = partial(_lhs_quadrature_uniform, c, d)
+    else:
+        if hasattr(mu, "sample"):
+            cloud = np.asarray(mu.sample(cloud_size, seed), dtype=float)
+        else:
+            cloud = np.asarray(mu, dtype=float)
+        n_total = len(cloud)
+        if n_total < 10_000:
+            raise ValueError("sample cloud needs >= 10^4 points")
+        _, counts = np.unique(cloud, return_counts=True)
+        if counts.max() / n_total > ATOM_SHARE_LIMIT:
+            raise ValueError(
+                f"cloud looks atomic: one value carries {counts.max() / n_total:.1%} of the mass"
+            )
+        ys = np.sort(cloud[(cloud >= c) & (cloud <= d)])
+        mass = len(ys) / n_total
+        nears = [_near_pairs_sorted(ys, r) / n_total**2 for r in rs]
+        nufft = (2 * _NUFFT_ERROR + _NUFFT_ERROR**2) * mass * mass
+        lhs_pair = partial(_lhs_quadrature_cloud, ys, n_total)
+    nodes = {m: max(quad_nodes, min(4 * abs(m), 32768)) for m in ms}
+    pairs = {m: lhs_pair(m, bf, q) for m, q in nodes.items()}
+    results = []
+    for m in ms:
+        lhs_q, lhs_2q = pairs[m]
+        quad_error = abs(lhs_2q - lhs_q) + nufft
+        for r, near in zip(rs, nears):
+            far = 2.0 * mass * mass / (r * abs(m))
+            rhs = far + near
+            results.append(Lemma32Result(
+                lhs=lhs_2q,
+                rhs=rhs,
+                slack=rhs - lhs_2q,
+                quad_error=quad_error,
+                mass_cd=mass,
+                near_mass=near,
+                far_bound=far,
+                nodes=2 * nodes[m],
+            ))
+    return results
 
 
 def lemma32_check(
@@ -496,55 +586,7 @@ def lemma32_check(
     error is estimated by a Richardson pass (node doubling).  On a cloud,
     quad_error adds the NUFFT's bound on the inner sums (`_NUFFT_ERROR`).
     """
-    if m == 0:
-        raise ValueError("m must be nonzero")
-    if r <= 0:
-        raise ValueError("r must be positive")
-    if not 0 <= c < d <= 1:
-        raise ValueError("need 0 <= c < d <= 1")
-    bf = float(b)
-    q = max(quad_nodes, min(4 * abs(m), 32768))
-    if isinstance(mu, str):
-        if mu != "uniform":
-            raise ValueError(f"unknown analytic measure {mu!r}")
-        lhs_q = _lhs_quadrature_uniform(c, d, m, bf, q)
-        lhs_2q = _lhs_quadrature_uniform(c, d, m, bf, 2 * q)
-        mass = d - c
-        ell = d - c
-        near = ell * ell if r >= ell else 2 * r * ell - r * r
-        nufft = 0.0
-    else:
-        if hasattr(mu, "sample"):
-            cloud = np.asarray(mu.sample(cloud_size, seed), dtype=float)
-        else:
-            cloud = np.asarray(mu, dtype=float)
-        n_total = len(cloud)
-        if n_total < 10_000:
-            raise ValueError("sample cloud needs >= 10^4 points")
-        _, counts = np.unique(cloud, return_counts=True)
-        if counts.max() / n_total > ATOM_SHARE_LIMIT:
-            raise ValueError(
-                f"cloud looks atomic: one value carries {counts.max() / n_total:.1%} of the mass"
-            )
-        ys = np.sort(cloud[(cloud >= c) & (cloud <= d)])
-        lhs_q = _lhs_quadrature_cloud(ys, n_total, m, bf, q)
-        lhs_2q = _lhs_quadrature_cloud(ys, n_total, m, bf, 2 * q)
-        mass = len(ys) / n_total
-        near = _near_pairs_sorted(ys, r) / n_total**2
-        nufft = (2 * _NUFFT_ERROR + _NUFFT_ERROR**2) * mass * mass
-    quad_error = abs(lhs_2q - lhs_q) + nufft
-    far = 2.0 * mass * mass / (r * abs(m))
-    rhs = far + near
-    return Lemma32Result(
-        lhs=lhs_2q,
-        rhs=rhs,
-        slack=rhs - lhs_2q,
-        quad_error=quad_error,
-        mass_cd=mass,
-        near_mass=near,
-        far_bound=far,
-        nodes=2 * q,
-    )
+    return lemma32_sweep(mu, c, d, (m,), (r,), b, quad_nodes, cloud_size, seed)[0]
 
 
 def invariance_defects(series: WeylSeries, max_degree: int) -> list[float]:

@@ -243,6 +243,25 @@ def test_lemma32_at_default_flags(tmp_path):
     assert all(c["quad_error"] >= nufft for c in configs)
 
 
+@pytest.mark.parametrize("rs", ["0.1", "0.05,0.15", "0.01,0.05,0.1,0.2,0.3"])
+def test_lemma32_spreads_the_cloud_once_per_frequency(tmp_path, monkeypatch, rs):
+    # the benchmark's cli_sweep lemma32 command, with a repeated m: one spread
+    # per distinct m serves both Richardson passes and every r
+    spreads = []
+    fine_grid = weyl._fine_grid
+
+    def counted(*args):
+        spreads.append(args)
+        return fine_grid(*args)
+
+    monkeypatch.setattr(weyl, "_fine_grid", counted)
+    d = str(tmp_path)
+    argv = ["lemma32", "--mu", "parry", "--beta", "(1+sqrt5)/2", "--m", "4,64,256,4", "--r", rs]
+    assert main([*argv, "--out", d]) == 0
+    assert len(_json(d, "lemma32.json")["configs"]) == 4 * len(rs.split(","))
+    assert len(spreads) == 3
+
+
 def test_decay_smoke(tmp_path):
     d = str(tmp_path)
     rc = main(
@@ -326,6 +345,20 @@ def test_counterexample_rejects_bad_window_and_pairs(tmp_path, capsys, flags, me
     assert main(["counterexample", "--seed", "3", *flags, "--out", d]) == 1
     assert message in capsys.readouterr().err
     assert not os.path.exists(os.path.join(d, "counterexample.json"))
+
+
+@pytest.mark.parametrize("window, matched", [("20", 4), ("40", 0)])
+def test_counterexample_pool_too_small_for_the_window(tmp_path, capsys, window, matched):
+    # the auto pool of 304 pasts is too small for a long window: the error
+    # says how many pasts found a partner and names the flags that help
+    d = str(tmp_path)
+    argv = ["counterexample", "--pairs", "100", "--window", window, "--seed", "1", "--out", d]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{matched} of the pool's 304 pasts found a partner" in err
+    assert "at least 25 matched pairs" in err
+    assert "--past" in err and "--window" in err
+    assert os.listdir(d) == []
 
 
 def test_zero_denominator_in_iid_is_a_usage_error(tmp_path, capsys):
@@ -790,6 +823,57 @@ def test_manifest_fields(tmp_path):
     flat = json.dumps(man).lower()
     for word in ("time", "date", "host", "hostname", "uuid"):
         assert word not in flat
+
+
+# back to back in one process: different subcommands, a usage error and then
+# a valid call, and one subcommand with different flags
+_IN_PROCESS = [
+    ["exponent", "--alpha", "1", "--beta", "1", "--grid", "0"],
+    ["classify", "--beta", "5/2", "--depth", "12"],
+    ["classify", "--depth", "12"],  # no --beta: usage error
+    ["classify", "--beta", "(1+sqrt5)/2", "--alphabet", "2"],
+    ["exponent", "--alpha", "1", "--beta", "1"],  # --grid back at its default
+]
+
+
+def _run_all(root: Path, fresh: bool) -> dict:
+    """Exit code and artifact bytes of each _IN_PROCESS call; with fresh, the
+    parser is rebuilt before every call."""
+    out = {}
+    for i, argv in enumerate(_IN_PROCESS):
+        if fresh:
+            cli._parser.cache_clear()
+        d = root / str(i)
+        rc = main([*argv, "--out", str(d)])
+        out[i] = rc, {p.name: p.read_bytes() for p in sorted(d.iterdir())} if d.exists() else {}
+    return out
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    fresh = _run_all(tmp_path / "fresh", fresh=True)
+    cli._parser.cache_clear()
+    shared = _run_all(tmp_path / "shared", fresh=False)
+    assert cli._parser.cache_info().misses == 1
+    assert shared == fresh
+    assert [rc for rc, _ in shared.values()] == [0, 0, 1, 0, 0]
+    assert "grid" in json.loads(shared[4][1]["exponent.json"])
+
+
+def test_parser_sees_commands_replaced_after_import():
+    # a tracer swaps cmd_* functions after import; the parser, built on the
+    # first main call, dispatches to the swapped ones
+    code = (
+        "import betalab.cli as cli, tempfile\n"
+        "calls = []\n"
+        "orig = cli.cmd_exponent\n"
+        "cli.cmd_exponent = lambda args, ws: calls.append(args.alpha) or orig(args, ws)\n"
+        "rc = cli.main(['exponent', '--alpha', '1', '--beta', '1', '--grid', '0',\n"
+        "               '--out', tempfile.mkdtemp()])\n"
+        "assert (rc, calls) == (0, [1.0]), (rc, calls)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60,
+                   capture_output=True)
 
 
 def test_replay_byte_identical(tmp_path):

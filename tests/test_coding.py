@@ -305,8 +305,9 @@ def _row_major_estimate(proc, stage, pair_samples, past_samples, seed):
     same = sorted_eta[0::2][: len(sorted_eta) // 2] == sorted_eta[1::2]
     idx_a = order[rank[0::2][: len(same)][same]]
     idx_b = order[rank[1::2][same]]
-    if len(idx_a) == 0:
-        raise ValueError("no matched past pairs; enlarge past_samples")
+    if len(idx_a) < 25:
+        raise ValueError(f"{2 * len(idx_a)} of the pool's {pool} pasts found a partner with the "
+                         f"same {W}-digit window; at least 25 matched pairs are needed")
     take = min(pair_samples, len(idx_a))
     sel = rng.permutation(len(idx_a))[:take]
     idx_a, idx_b = idx_a[sel], idx_b[sel]

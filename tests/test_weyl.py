@@ -1,6 +1,7 @@
 import math
 import os
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from betalab.weyl import (
     invariance_defect,
     invariance_defects,
     lemma32_check,
+    lemma32_sweep,
     mean_decay_profile,
     multiplicatively_independent,
     optimize_exponent_grid,
@@ -305,10 +307,10 @@ def test_window_sums_match_direct_sum(m, sign, c, width, n, skew, seed, b):
     assume(len(ys) > 0)
     q = max(256, min(4 * m, 32768))
     bound = len(ys) * _NUFFT_ERROR + _rounding(ys, m, b)
-    for passes in (q, 2 * q):
+    # both passes interpolate one spread of the cloud
+    for passes, sums in zip((q, 2 * q), _window_sums(ys, sign * m, b, (q, 2 * q))):
         nodes = np.linspace(0, passes - 1, 40).astype(int)
-        fast = _window_sums(ys, sign * m, b, passes)[nodes]
-        gap = np.abs(fast - _direct_sums(ys, sign * m, b, passes, nodes))
+        gap = np.abs(sums[nodes] - _direct_sums(ys, sign * m, b, passes, nodes))
         assert gap.max() <= bound, (gap.max(), bound)
 
 
@@ -320,14 +322,43 @@ def test_lhs_quadrature_matches_direct_sum(m, c, d):
     bound = (2 * _NUFFT_ERROR + _NUFFT_ERROR**2) * mass**2
     bound += 2 * mass * _rounding(ys, m, PHI_F) / len(cloud)
     q = max(256, min(4 * m, 32768))
-    for passes in (q, 2 * q):
-        fast = _lhs_quadrature_cloud(ys, len(cloud), m, PHI_F, passes)
+    for passes, fast in zip((q, 2 * q), _lhs_quadrature_cloud(ys, len(cloud), m, PHI_F, q)):
         assert abs(fast - _direct_lhs(ys, len(cloud), m, PHI_F, passes)) <= bound
 
 
 def test_window_sums_of_a_point_mass():
     # zero cloud width: G is the constant len(ys) in modulus
-    assert np.allclose(_window_sums(np.full(7, 0.3), 64, 2.0, 256), 7.0, rtol=1e-13)
+    (sums,) = _window_sums(np.full(7, 0.3), 64, 2.0, (256,))
+    assert np.allclose(sums, 7.0, rtol=1e-13)
+
+
+@pytest.mark.parametrize("m", [4, -64, 1024])
+def test_one_spread_keeps_the_finer_pass(m):
+    # the 2q nodes reach further out than the q nodes, so the grid shared by
+    # both passes is the one the 2q pass spreads alone: its sums keep their
+    # bits, and the q pass differs from its own grid's only by NUFFT error
+    ys = np.sort(ParryDensity(PHI).sample(10_000, 5))
+    q = max(256, min(4 * abs(m), 32768))
+    coarse, fine = _window_sums(ys, m, PHI_F, (q, 2 * q))
+    assert np.array_equal(fine, _window_sums(ys, m, PHI_F, (2 * q,))[0])
+    (alone,) = _window_sums(ys, m, PHI_F, (q,))
+    assert np.abs(coarse - alone).max() <= 2 * len(ys) * _NUFFT_ERROR
+
+
+def test_lemma32_sweep_matches_one_check_per_config():
+    # the flags of the benchmark's cli_sweep lemma32 command, seed 0
+    ms, rs = (4, 64, 256), (0.05, 0.15)
+    cloud = ParryDensity(PHI).sample(20000, 0)
+    swept = lemma32_sweep(cloud, 0.0, 1.0, ms, rs, PHI)
+    configs = [(m, r) for m in ms for r in rs]
+    assert len(swept) == len(configs)
+    for (m, r), got in zip(configs, swept):
+        want = lemma32_check(cloud, 0.0, 1.0, m, r, PHI)
+        for field in fields(want):
+            if field.name != "quad_error":
+                assert getattr(got, field.name) == getattr(want, field.name), (m, r, field.name)
+        assert abs(got.quad_error - want.quad_error) <= 1e-16
+        assert got.quad_error >= (2 * _NUFFT_ERROR + _NUFFT_ERROR**2) * got.mass_cd**2
 
 
 # -- mean profile ----------------------------------------------------------------------
