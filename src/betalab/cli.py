@@ -42,7 +42,7 @@ from .coding import (
     control_near_diagonal,
     estimate_near_diagonal,
 )
-from .parry import ParryDensity
+from .parry import ParryDensity, estimated_terms
 from .precision import (
     CertificationError,
     DescriptorError,
@@ -63,6 +63,7 @@ from .selfsimilar import (
     uniform_grid,
 )
 from .sources import (
+    MIN_FIT_DEPTH,
     chain_entropy,
     fit_condition_exponents,
     iid_source,
@@ -70,6 +71,7 @@ from .sources import (
     source_to_dict,
 )
 from .weyl import (
+    MIN_SAMPLES,
     _checkpoints,
     invariance_defects,
     lemma32_sweep,
@@ -83,6 +85,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 EXIT_PRECISION = 3
+
+# `parry` refuses a base whose series needs more terms than this at --tol: the
+# exact orbit prefix costs about quadratically in its length, and 900 terms
+# (--beta 1.03 at the default --tol) already take about 7 s on a 2-vCPU VM.
+MAX_PARRY_TERMS = 1000
 
 
 class UsageError(Exception):
@@ -279,6 +286,13 @@ def cmd_parry(args, ws: Workspace) -> int:
     if args.fourier < 0:
         raise UsageError(f"--fourier must be at least 0, got {args.fourier}")
     b = parse_beta(args.beta)
+    terms = estimated_terms(b, args.tol)
+    if terms > MAX_PARRY_TERMS:
+        need = "over 10^17" if terms == math.inf else f"about {terms:,}"  # b - 1 < 2^-52
+        raise UsageError(
+            f"--beta {args.beta} needs {need} series terms at --tol {args.tol:g} "
+            f"(tail bound b^-n/(b-1)); at most {MAX_PARRY_TERMS:,} are run"
+        )
     den = ParryDensity(b)
     rows = den.grid_rows(args.grid, tol=args.tol)
     z_lo, z_hi = den.normalizer(tol=args.tol)
@@ -367,6 +381,11 @@ def cmd_decay(args, ws: Workspace) -> int:
         raise UsageError(f"--N must be at least 2, got {args.N}")
     if args.workers < 0:
         raise UsageError(f"--workers must be at least 0, got {args.workers}")
+    if args.samples < MIN_SAMPLES:
+        raise UsageError(f"--samples must be at least {MIN_SAMPLES}, got {args.samples}")
+    _check_m_max("--fit-m-max", args.fit_m_max)
+    if args.a < 2:
+        raise UsageError(f"--a must be at least 2, got {args.a}")
     b = parse_beta(args.beta)
     src = _make_source(args)
     ms = _number_list(args.ms, int)
@@ -584,7 +603,15 @@ def cmd_counterexample(args, ws: Workspace) -> int:
     return EXIT_OK
 
 
+def _check_m_max(flag: str, m_max: int) -> None:
+    if m_max < MIN_FIT_DEPTH:
+        raise UsageError(
+            f"{flag} must be at least {MIN_FIT_DEPTH} for a meaningful fit, got {m_max}"
+        )
+
+
 def cmd_conditions(args, ws: Workspace) -> int:
+    _check_m_max("--m-max", args.m_max)
     src = _make_source(args)
     est = fit_condition_exponents(src, m_max=args.m_max)
     rows = [

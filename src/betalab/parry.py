@@ -173,6 +173,17 @@ def _cmp_point(x: Fraction, r: Enclosure) -> int:
     return 0
 
 
+def estimated_terms(b: BetaNumber, tol) -> float:
+    """Prefix length at which the tail bound b^(-n)/(b - 1) reaches tol, in
+    floats from b's lower bound, plus 2: where `terms_for` starts its search.
+    inf when that bound rounds to 1 as a float."""
+    b_lo = float(b.lo)
+    if b_lo <= 1.0:
+        return math.inf
+    t = max(float(tol), 1e-300)
+    return max(1, math.ceil(math.log(1.0 / (t * (b_lo - 1))) / math.log(b_lo)) + 2)
+
+
 class ParryDensity:
     """Truncated density series with a lazily grown certified orbit prefix.
 
@@ -239,9 +250,9 @@ class ParryDensity:
 
     def terms_for(self, tol: Fraction) -> int:
         """Smallest usable prefix length with tail_bound <= tol."""
-        b_lo = float(self.base.lo)
-        t = max(float(tol), 1e-300)
-        n = max(1, math.ceil(math.log(1.0 / (t * (b_lo - 1))) / math.log(b_lo)) + 2)
+        n = estimated_terms(self.base, tol)
+        if n == math.inf:
+            raise ValueError(f"base {self.base} is too close to 1 for a Parry series")
         while self.tail_bound(n) > tol:
             n += max(4, n // 2)
         if self._zero_from is not None:

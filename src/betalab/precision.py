@@ -29,8 +29,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from operator import add, gt, mul, rshift, sub
+
+import numpy as np
 
 from .exactnum import (
     Quadratic,
@@ -143,6 +147,7 @@ class BetaNumber:
     floor_b: int
     ceil_b: int
     _value: ExactValue  # the literal's rational for bigfloat, used only to re-round
+    _scaled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def exact_value(self) -> ExactValue | None:
         return None if self.kind == "bigfloat" else self._value
@@ -152,9 +157,13 @@ class BetaNumber:
         return _exact_bounds(self._value, bits)
 
     def scaled_bounds(self, bits: int) -> tuple[int, int]:
-        """Integer mantissas (lo, hi) at scale 2^-bits."""
-        lo, hi = self.bounds(bits)
-        return scaled_floor(lo, bits), scaled_ceil(hi, bits)
+        """Integer mantissas (lo, hi) at scale 2^-bits, computed once per bits:
+        every interval orbit at a working precision starts from them."""
+        mantissas = self._scaled.get(bits)
+        if mantissas is None:
+            lo, hi = self.bounds(bits)
+            mantissas = self._scaled[bits] = scaled_floor(lo, bits), scaled_ceil(hi, bits)
+        return mantissas
 
     def log2_upper(self) -> float:
         """A float upper bound on log2(b)."""
@@ -354,6 +363,9 @@ class _IntervalOrbit:
     the segment's digit block (beta^h, w^h, N), N = sum d_k beta^(h-1-k) w^k,
     and rounded outward once.  Short segments run the per-step loop, so the
     integers stay near the minimum size either way.
+
+    The orbit is kept in four flat columns: each step's lo and hi mantissas,
+    its scale and its digit.
     """
 
     def __init__(self, b: BetaNumber, bits: int, slack: int, log2b_up: float):
@@ -364,9 +376,14 @@ class _IntervalOrbit:
         u, v, self.d, self.w = _integer_form(b)
         self.beta = (u, v)
         self.log2_size = math.log2(max(abs(u) + abs(v) * (math.isqrt(self.d) + 1), self.w))
-        self.triples: list[tuple[int, int, int]] = []
+        self.los: list[int] = []
+        self.his: list[int] = []
+        self.scales: list[int] = []
         self.digits: list[int] = []
         self._terms: dict[int, tuple] = {}  # segment length -> _block's table
+        self._schedules: dict[tuple[int, int], tuple] = {}  # (s, n) -> _schedule's table
+        self._sqrt_bits = -1  # isqrt(d << 2 * _sqrt_bits) is _sqrt_root
+        self._sqrt_root = 0
 
     def scale(self, rem: int) -> int:
         """Working scale of a point with rem steps still to run from it."""
@@ -375,8 +392,8 @@ class _IntervalOrbit:
     def run(self, x_lo: int, x_hi: int, s: int, n: int, need_block: bool):
         """Advance [x_lo, x_hi]/2^s, with s = scale(n), by n steps.
 
-        Appends each step's (lo, hi, scale) triple and digit; returns the
-        segment's digit block when need_block is set.
+        Appends each step's lo, hi, scale and digit to the columns; returns
+        the segment's digit block when need_block is set.
         """
         h = n // 2
         if n <= _BASE_STEPS or h * self.log2_size > _JUMP_SIZE_RATIO * s:
@@ -391,8 +408,10 @@ class _IntervalOrbit:
         tail = self.run(y_lo, y_hi, s2, n - h, need_block)
         return self._combine(head, tail) if need_block else None
 
-    def _steps(self, x_lo: int, x_hi: int, s: int, n: int) -> None:
-        """The per-step loop: one outward-rounded product per step.
+    def _schedule(self, s: int, n: int):
+        """The per-step loop's table for n steps from scale s: one row
+        (b_lo, b_hi, s, -2^s, drop) per step, and the scale of each step's
+        output, which is s less drop.
 
         b is rounded to the segment's starting scale once and then shifted
         along with the point whenever the scale drops.  floor(floor(y/2^i)/2^j)
@@ -401,40 +420,61 @@ class _IntervalOrbit:
         at the new scale: the integers of rounding afresh at every step.
         The next scale is `scale(rem)` without its cap at bits: s never
         exceeds bits, so wherever the cap applies there is no drop either way.
+        The table depends only on (s, n), so leaves of one length share it.
         """
-        shift = self.bits - s
-        b_lo = self.b_lo_full >> shift
-        b_hi = -((-self.b_hi_full) >> shift)
-        ceil, log2b_up, slack = math.ceil, self.log2b_up, self.slack
-        triples, digits = self.triples, self.digits
-        for rem in range(n - 1, -1, -1):
+        table = self._schedules.get((s, n))
+        if table is None:
+            shift = self.bits - s
+            b_lo = self.b_lo_full >> shift
+            b_hi = -((-self.b_hi_full) >> shift)
+            rows, out_scales = [], []
+            start = s
+            for rem in range(n - 1, -1, -1):
+                s_next = math.ceil(rem * self.log2b_up) + self.slack
+                drop = s - s_next if s_next < s else 0
+                rows.append((b_lo, b_hi, s, -(1 << s), drop))
+                if drop:
+                    b_lo >>= drop
+                    b_hi = -((-b_hi) >> drop)
+                    s = s_next
+                out_scales.append(s)
+            table = self._schedules[(start, n)] = (rows, out_scales)
+        return table
+
+    def _steps(self, x_lo: int, x_hi: int, s: int, n: int) -> None:
+        """The per-step loop: one outward-rounded product per step.
+
+        Runs on the negated upper end nh = -x_hi, so the ceilings
+        -((-y) >> s) are plain floors: -ceil(x_hi b_hi / 2^s) = (nh b_hi) >> s.
+        A step is ambiguous when y_hi >= (k + 1) 2^s, that is when the new
+        nh = k 2^s - y_hi is at most -2^s.
+        """
+        rows, out_scales = self._schedule(s, n)
+        lo_append, hi_append, digit_append = self.los.append, self.his.append, self.digits.append
+        nh = -x_hi
+        for b_lo, b_hi, s, neg_one, drop in rows:
             y_lo = (x_lo * b_lo) >> s
-            y_hi = -((-(x_hi * b_hi)) >> s)
             k = y_lo >> s
-            if y_hi >> s != k:
+            ks = k << s
+            nh = ((nh * b_hi) >> s) + ks
+            if nh <= neg_one:
                 raise AmbiguousBranch(
-                    f"step {len(digits)}: enclosure straddles an integer at {self.bits} bits"
+                    f"step {len(self.digits)}: enclosure straddles an integer at {self.bits} bits"
                 )
-            x_lo = y_lo - (k << s)
-            x_hi = y_hi - (k << s)
-            s_next = ceil(rem * log2b_up) + slack
-            if s_next < s:
-                drop = s - s_next
+            x_lo = y_lo - ks
+            if drop:
                 x_lo >>= drop
-                x_hi = -((-x_hi) >> drop)
-                b_lo >>= drop
-                b_hi = -((-b_hi) >> drop)
-                s = s_next
-            triples.append((x_lo, x_hi, s))
-            digits.append(k)
+                nh >>= drop
+            lo_append(x_lo)
+            hi_append(-nh)
+            digit_append(k)
+        self.scales += out_scales
 
     def _block(self, digits: list[int]):
         """(beta^n, w^n, N) for a run of n digits, N = sum_k d_k t_k with the
         terms t_k = beta^(n-1-k) w^k of `_block_terms`."""
         power, w_power, term_a, term_c = self._block_terms(len(digits))
-        n_a = sum(k * t for k, t in zip(digits, term_a) if k)
-        n_c = sum(k * t for k, t in zip(digits, term_c) if k)
-        return power, w_power, (n_a, n_c)
+        return power, w_power, (sum(map(mul, digits, term_a)), sum(map(mul, digits, term_c)))
 
     def _block_terms(self, n: int):
         """beta^n, w^n and the coefficients of beta^(n-1-k) w^k, k < n; one
@@ -466,6 +506,15 @@ class _IntervalOrbit:
             (a + n_right[0] * w_left, c + n_right[1] * w_left),
         )
 
+    def _sqrt_d(self, t: int) -> int:
+        """isqrt(d << 2t), shifted down from the root at the largest T >= t
+        asked for so far: floor(floor(y 2^T) / 2^(T-t)) = floor(y 2^t).  T at
+        least doubles when it grows, so an orbit takes a few roots at most."""
+        if t > self._sqrt_bits:
+            self._sqrt_bits = max(t, 2 * self._sqrt_bits)
+            self._sqrt_root = math.isqrt(self.d << (2 * self._sqrt_bits))
+        return self._sqrt_root >> (self._sqrt_bits - t)
+
     def _jump(self, x_lo: int, x_hi: int, s: int, block, s2: int) -> tuple[int, int]:
         """Enclosure at scale s2 of T^h over [x_lo, x_hi]/2^s, from the block of
         the h digits every point of it shares, intersected with [0, 1].
@@ -488,11 +537,14 @@ class _IntervalOrbit:
         t = 0
         if e:
             t = max(0, e.bit_length() - den.bit_length() + 33 - shift)
-            r = math.isqrt(self.d << (2 * t))  # sqrt(d) * 2^t in (r, r + 1)
+            r = self._sqrt_d(t)  # sqrt(d) * 2^t in (r, r + 1)
             g = (g << t) + e * (r + 1 if (e > 0) == up else r)
         if up:
             return -(((-g) >> (shift + t)) // den)
         return (g >> (shift + t)) // den
+
+
+Columns = tuple[list[int], list[int], list[int]]  # per-step lo and hi mantissas, scale
 
 
 def _interval_orbit_attempt(
@@ -504,31 +556,32 @@ def _interval_orbit_attempt(
     width_bits: int,
     log2b_up: float,
     guard: int,
-) -> tuple[list[tuple[int, int, int]], list[int]]:
+) -> tuple[Columns, list[int]]:
     """One fixed-budget interval pass.
 
-    Returns per-step (lo_mantissa, hi_mantissa, scale) triples plus digits, or
-    raises AmbiguousBranch.  A point with r steps to go is held at scale
-    min(bits, r*log2(b) + width_bits + 64 + guard), which keeps the big-integer
-    products near the minimum needed size; guard is what a restart adds.
+    Returns the columns (lo mantissas, hi mantissas, scales) of the points
+    [lo, hi]/2^scale plus the digits, or raises AmbiguousBranch.  A point with
+    r steps to go is held at scale min(bits, r*log2(b) + width_bits + 64 +
+    guard), which keeps the big-integer products near the minimum needed
+    size; guard is what a restart adds.
     """
     engine = _IntervalOrbit(b, bits, width_bits + 64 + guard, log2b_up)
     s = engine.scale(n_steps)
     engine.run(scaled_floor(lo0, s), scaled_ceil(hi0, s), s, n_steps, need_block=False)
-    return engine.triples, engine.digits
+    return (engine.los, engine.his, engine.scales), engine.digits
 
 
-def _width_ok(triples: list[tuple[int, int, int]], digits_required: int) -> bool:
+def _width_ok(columns: Columns, digits_required: int) -> bool:
+    """Every (hi - lo)/2^s <= 10^-digits.  For an integer width w,
+    w * 10^digits > 2^s exactly when w > floor(2^s / 10^digits)."""
+    los, his, scales = columns
     scale = 10**digits_required
-    for lo, hi, s in triples:
-        # (hi - lo)/2^s <= 10^-digits  <=>  (hi - lo) * 10^digits <= 2^s
-        if (hi - lo) * scale > (1 << s):
-            return False
-    return True
+    limits = {s: (1 << s) // scale for s in set(scales)}
+    return not any(map(gt, map(sub, his, los), map(limits.__getitem__, scales)))
 
 
-def _triples_to_enclosures(triples: list[tuple[int, int, int]]) -> list[Enclosure]:
-    return [Enclosure(Fraction(lo, 1 << s), Fraction(hi, 1 << s)) for lo, hi, s in triples]
+def _column_enclosures(columns: Columns) -> list[Enclosure]:
+    return [Enclosure(Fraction(lo, 1 << s), Fraction(hi, 1 << s)) for lo, hi, s in zip(*columns)]
 
 
 def _certified_orbit(
@@ -538,10 +591,10 @@ def _certified_orbit(
     digits_required: int,
     method: str,
     exact_cutoff: int,
-) -> tuple[list[tuple[int, int, int]] | None, list[Enclosure] | None, list[int], int]:
+) -> tuple[Columns | None, list[Enclosure] | None, list[int], int]:
     """The restart driver behind every orbit entry point.
 
-    Returns (triples, points, digits, bits_used): triples from the interval
+    Returns (columns, points, digits, bits_used): columns from the interval
     path, or points from the exact path (bits_used 0); the other is None.
     method "auto" takes the exact path first when n_steps <= exact_cutoff.
     Each restart doubles the budget bits and widens every working scale by the
@@ -569,11 +622,11 @@ def _certified_orbit(
     bits = budget.initial_bits
     while True:
         try:
-            triples, digits = _interval_orbit_attempt(
+            columns, digits = _interval_orbit_attempt(
                 b, lo0, hi0, n_steps, bits, out_bits, log2b_up, bits - budget.initial_bits
             )
-            if _width_ok(triples, digits_required):
-                return triples, None, digits, bits
+            if _width_ok(columns, digits_required):
+                return columns, None, digits, bits
         except AmbiguousBranch:
             if exact_possible and method != "interval":
                 points, digits = _exact_orbit(b_exact, seed_exact, n_steps, out_bits)
@@ -600,11 +653,11 @@ def orbit_with_digits(
     doubled precision on ambiguity); "exact" requires an exact backing.
     Returns (points, digits, bits_used); bits_used is 0 on the exact path.
     """
-    triples, points, digits, bits = _certified_orbit(
+    columns, points, digits, bits = _certified_orbit(
         b, x0, n_steps, digits_required, method, _EXACT_PATH_CUTOFF
     )
     if points is None:
-        points = _triples_to_enclosures(triples)
+        points = _column_enclosures(columns)
     return points, digits, bits
 
 
@@ -624,25 +677,56 @@ def tb_orbit_floats(
     x0: object,
     n_steps: int,
     digits_required: int = 9,
-) -> list[float]:
+) -> np.ndarray:
     """Orbit midpoints as floats (certified to ~10^-digits_required each).
 
     Interval engine without Fraction wrapping; falls back to the exact path if
     a branch stays ambiguous and an exact backing exists.
     """
-    triples, points, _, _ = _certified_orbit(
+    columns, points, _, _ = _certified_orbit(
         b, x0, n_steps, digits_required, "auto", exact_cutoff=0
     )
-    if triples is None:
-        return [float(p) for p in points]
-    # the midpoint (lo + hi) / 2^(s+1), truncated to 56 bits before the float
-    # conversion
-    ldexp = math.ldexp
-    out = []
-    for lo, hi, s in triples:
-        tot = lo + hi
-        shift = tot.bit_length() - 56
-        if shift < 0:
-            shift = 0
-        out.append(ldexp(float(tot >> shift), shift - s - 1))
+    if columns is None:
+        return np.array([float(p) for p in points])
+    return _midpoint_floats(columns)
+
+
+def _mid_float(lo: int, hi: int, s: int) -> float:
+    """The midpoint (lo + hi) / 2^(s+1), truncated to 56 bits before the
+    float conversion."""
+    tot = lo + hi
+    shift = max(0, tot.bit_length() - 56)
+    return math.ldexp(float(tot >> shift), shift - s - 1)
+
+
+_TOPS = np.array([1 << e for e in range(56, 64)], dtype=np.uint64)  # 2^56 .. 2^63
+
+
+def _midpoint_floats(columns: Columns) -> np.ndarray:
+    """`_mid_float` of every point, with the per-point work on arrays.
+
+    m = (lo + hi) >> (s - 62) < 2^63, as lo < 2^s and hi <= 2^s.  Where
+    m >= 2^55 its bit length L is 56 + the number of 2^56 .. 2^63 at most m,
+    and the 56-bit truncation of lo + hi is m >> (L - 56).  That value is
+    converted as two 28-bit halves, each exact in a float, whose sum rounds
+    once to nearest even, as float(int) does; numpy casts only the halves, so
+    its int-to-float rounding, which may follow the SIMD dispatch, never
+    applies.  Scaling by 2^(L - 119) is exact.  The few points with m < 2^55
+    (x below about 2^-8) take `_mid_float` itself.
+    """
+    los, his, scales = columns
+    m = np.fromiter(
+        map(rshift, map(add, los, his), map(sub, scales, repeat(62))), np.uint64, len(los)
+    )
+    small = np.flatnonzero(m < 1 << 55).tolist()
+    top = np.searchsorted(_TOPS, m, side="right")  # L - 56 where m >= 2^55
+    m >>= top.astype(np.uint64)
+    out = np.right_shift(m, 28).astype(np.float64)
+    out *= 1 << 28
+    m &= (1 << 28) - 1
+    out += m
+    top -= 63
+    np.ldexp(out, top, out=out)
+    for i in small:
+        out[i] = _mid_float(los[i], his[i], scales[i])
     return out

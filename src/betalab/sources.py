@@ -174,15 +174,12 @@ def _depth_for(src: MarkovSource, k: int) -> tuple[int, bool]:
     return (m, p != k)
 
 
-def ess_sup_interval_mass(src: MarkovSource, k: int) -> GridMass:
-    """Max conditional mass of a depth-m cylinder, over contexts and words.
-
-    Max-product DP over the context graph; for k not a power of a the
-    reported value is the two-cylinder covering bound at depth floor(log_a k).
-    """
-    m, covering = _depth_for(src, k)
+def _ess_sup_masses(src: MarkovSource, m_max: int) -> list[Fraction]:
+    """Max conditional mass of a depth-m cylinder, over contexts and words,
+    for every m = 0 .. m_max: one max-product DP over the context graph."""
     v = [Fraction(1)] * src.n_contexts
-    for _ in range(m):
+    masses = [max(v)]
+    for _ in range(m_max):
         nxt = [Fraction(0)] * src.n_contexts
         for c in range(src.n_contexts):
             if v[c] == 0:
@@ -193,27 +190,25 @@ def ess_sup_interval_mass(src: MarkovSource, k: int) -> GridMass:
                 if cand > nxt[t]:
                     nxt[t] = cand
         v = nxt
-    best = max(v)
-    if covering:
-        best = min(Fraction(1), 2 * best)
-    return GridMass(k=k, depth=m, value=best)
+        masses.append(max(v))
+    return masses
 
 
-def near_diagonal_mass(src: MarkovSource, k: int) -> GridMass:
+def _near_diagonal_masses(src: MarkovSource, m_max: int) -> list[Fraction]:
     """Max over contexts of the ordered-pair mass of same-or-adjacent depth-m
-    cylinders: sum mu[w]^2 + 2 sum mu[w] mu[w+1], exact DP.
+    cylinders, sum mu[w]^2 + 2 sum mu[w] mu[w+1], for every m = 0 .. m_max:
+    one exact DP per starting context.
 
     Pair states: EQ (words equal so far, one shared context) and ADJ (right
     word is the immediate neighbor; adjacency survives only through the edge
-    pair (a-1, 0)).  Upper bound for the pair integral at distance 1/k.
+    pair (a-1, 0)).
     """
-    m, covering = _depth_for(src, k)
     a, nc = src.a, src.n_contexts
-    best = Fraction(0)
+    best = [Fraction(1)] + [Fraction(0)] * m_max  # depth 0: the empty words, mass 1
     for eta in range(nc):
         eq = {eta: Fraction(1)}
         adj: dict[tuple[int, int], Fraction] = {}
-        for _ in range(m):
+        for m in range(1, m_max + 1):
             eq2: dict[int, Fraction] = {}
             adj2: dict[tuple[int, int], Fraction] = {}
             for c, val in eq.items():
@@ -228,13 +223,33 @@ def near_diagonal_mass(src: MarkovSource, k: int) -> GridMass:
                 key = (src.roll(c, a - 1), src.roll(c2, 0))
                 adj2[key] = adj2.get(key, Fraction(0)) + val * src.prob(c, a - 1) * src.prob(c2, 0)
             eq, adj = eq2, adj2
-        total = sum(eq.values(), Fraction(0)) + 2 * sum(adj.values(), Fraction(0))
-        best = max(best, total)
+            total = sum(eq.values(), Fraction(0)) + 2 * sum(adj.values(), Fraction(0))
+            best[m] = max(best[m], total)
         if src.order == 0:
             break  # single context, nothing else to scan
+    return best
+
+
+def _grid_mass(src: MarkovSource, k: int, masses) -> GridMass:
+    """The estimate at scale k from a DP's masses by depth; for k not a power
+    of a, the two-cylinder covering bound at depth floor(log_a k)."""
+    m, covering = _depth_for(src, k)
+    value = masses(src, m)[m]
     if covering:
-        best = min(Fraction(1), 2 * best)
-    return GridMass(k=k, depth=m, value=best)
+        value = min(Fraction(1), 2 * value)
+    return GridMass(k=k, depth=m, value=value)
+
+
+def ess_sup_interval_mass(src: MarkovSource, k: int) -> GridMass:
+    """Max conditional mass of a depth-m cylinder, over contexts and words
+    (`_ess_sup_masses`)."""
+    return _grid_mass(src, k, _ess_sup_masses)
+
+
+def near_diagonal_mass(src: MarkovSource, k: int) -> GridMass:
+    """Upper bound for the pair integral at distance 1/k: the near-diagonal
+    pair mass of `_near_diagonal_masses`."""
+    return _grid_mass(src, k, _near_diagonal_masses)
 
 
 @dataclass(frozen=True)
@@ -244,15 +259,21 @@ class ConditionEstimates:
     rows: tuple[tuple[GridMass, GridMass], ...]  # (ess, near) per scale
 
 
+MIN_FIT_DEPTH = 3  # the least m_max a slope fit takes
+
+
 def fit_condition_exponents(src: MarkovSource, m_max: int = 16) -> ConditionEstimates:
     """Least-squares slopes of log mass against log k over k = a, ..., a^m_max;
     alpha_hat for the interval bound, beta_hat for the near-diagonal bound.
+    Each DP runs once over the depths 1 .. m_max.
     """
-    if m_max < 3:
-        raise ValueError("need m_max >= 3 for a meaningful fit")
+    if m_max < MIN_FIT_DEPTH:
+        raise ValueError(f"need m_max >= {MIN_FIT_DEPTH} for a meaningful fit")
     ks = [src.a**m for m in range(1, m_max + 1)]
-    ess = [ess_sup_interval_mass(src, k) for k in ks]
-    near = [near_diagonal_mass(src, k) for k in ks]
+    ess_by_depth = _ess_sup_masses(src, m_max)
+    near_by_depth = _near_diagonal_masses(src, m_max)
+    ess = [GridMass(k=k, depth=m, value=ess_by_depth[m]) for m, k in enumerate(ks, start=1)]
+    near = [GridMass(k=k, depth=m, value=near_by_depth[m]) for m, k in enumerate(ks, start=1)]
     logk = np.log([float(k) for k in ks])
     alpha = -np.polyfit(logk, np.log([float(g.value) for g in ess]), 1)[0]
     beta = -np.polyfit(logk, np.log([float(g.value) for g in near]), 1)[0]
@@ -279,25 +300,27 @@ def sample_digits(src: MarkovSource, n_digits: int, seed: int) -> np.ndarray:
     cumulative probabilities, held as Python floats.  On a sorted row,
     bisect_right makes the same float comparisons as np.searchsorted with
     side="right" on the float64 array of that row, so the digits are those of
-    the one-call-per-digit search.
+    the one-call-per-digit search.  An i.i.d. source has one row, so its
+    digits are that search over all draws at once.
     """
     if n_digits < 1:
         raise ValueError("need n_digits >= 1")
     rng = np.random.default_rng(seed)
     rows, cpi = src.walk_tables
+    last = src.a - 1
     if cpi is None:
-        ctx = 0
-    else:
-        ctx = int(np.searchsorted(cpi, rng.random(), side="right"))
-        ctx = min(ctx, src.n_contexts - 1)
-    a, n_contexts, last = src.a, src.n_contexts, src.a - 1
+        digits = np.searchsorted(rows[0], rng.random(n_digits), side="right")
+        return np.minimum(digits, last).astype(np.int64)
+    ctx = int(np.searchsorted(cpi, rng.random(), side="right"))
+    ctx = min(ctx, src.n_contexts - 1)
+    a, n_contexts = src.a, src.n_contexts
     out = []
     for u in rng.random(n_digits).tolist():
         s = bisect_right(rows[ctx], u)
         if s > last:
             s = last
         out.append(s)
-        ctx = (ctx * a + s) % n_contexts  # `roll`; 0 for order 0
+        ctx = (ctx * a + s) % n_contexts  # `roll`
     return np.array(out, dtype=np.int64)
 
 

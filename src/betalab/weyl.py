@@ -37,6 +37,7 @@ MAX_FREQUENCY = 1 << 20
 # treated as atomic, and lemma32_check refuses it
 ATOM_SHARE_LIMIT = 0.05
 PROXY_NOTE = "max |S_N'(m)| over tail checkpoints {N/4, N/2, N}"
+MIN_SAMPLES = 16  # the least sample count a mean profile takes
 
 
 def _primitive_base(n: int) -> int:
@@ -260,8 +261,8 @@ def mean_decay_profile(
     """
     if src.a != a:
         raise ValueError("source alphabet does not match a")
-    if samples < 16:
-        raise ValueError("need at least 16 samples for a mean profile")
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples for a mean profile")
     if n_points < 2:
         raise ValueError(f"need n_points >= 2, got {n_points}")
     workers = _worker_count(workers, samples)
@@ -273,6 +274,8 @@ def mean_decay_profile(
         raise ValueError("profile frequencies must lie in [0, 2^20]")
     cps = _checkpoints(n_points)
     digits = math.ceil(n_points * math.log(float(b.hi)) / math.log(a)) + 64
+    # deterministic, and it rejects a too-small fit_m_max before any sample runs
+    est = fit_condition_exponents(src, m_max=fit_m_max)
     seeds = [_sample_seed(seed, j) for j in range(samples)]
     src.walk_tables  # solved once here, and pickled with src to any pool workers
     sample = partial(_sample_maxima, src, b, ms, cps, n_points, digits)
@@ -292,7 +295,6 @@ def mean_decay_profile(
     fitted = None
     if len(pos) >= 3:
         fitted = float(np.polyfit(np.log(pos), np.log([max(values[m], 1e-300) for m in pos]), 1)[0])
-    est = fit_condition_exponents(src, m_max=fit_m_max)
     try:
         predicted = predicted_exponent(est.alpha_hat, est.beta_hat)
     except ValueError:

@@ -25,6 +25,7 @@ from betalab.cli import UsageError, main, parse_point
 from betalab.exactnum import Quadratic
 from betalab.parry import ParryDensity
 from betalab.precision import parse_beta, parse_exact
+from betalab.sources import iid_source
 
 # seed-0 artifact hashes of the benchmark's commands; read here, never written
 REFERENCE_HASHES = Path(__file__).resolve().parents[1] / "bench" / "reference_hashes.json"
@@ -526,6 +527,71 @@ def test_decay_rejects_a_negative_worker_count(tmp_path, capsys):
     assert rc == 1
     assert "usage error: --workers must be at least 0, got -1" in capsys.readouterr().err
     assert os.listdir(d) == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("decay", "--beta", "(1+sqrt5)/2", "--iid", "7/10,3/10", "--fit-m-max", "2"),
+         "--fit-m-max must be at least 3 for a meaningful fit, got 2"),
+        (("decay", "--beta", "(1+sqrt5)/2", "--iid", "7/10,3/10", "--samples", "3"),
+         "--samples must be at least 16, got 3"),
+        (("decay", "--beta", "(1+sqrt5)/2", "--iid", "7/10,3/10", "--a", "1"),
+         "--a must be at least 2, got 1"),
+        (("conditions", "--iid", "7/10,3/10", "--m-max", "2"),
+         "--m-max must be at least 3 for a meaningful fit, got 2"),
+    ],
+    ids=["fit-m-max", "samples", "a", "m-max"],
+)
+def test_flag_floors_are_usage_errors_before_any_sample(tmp_path, monkeypatch, capsys, argv,
+                                                        message):
+    def no_sample(src, digits, seed):
+        raise AssertionError("a sample ran before the flags were checked")
+
+    monkeypatch.setattr(weyl, "sample_point", no_sample)
+    d = str(tmp_path)
+    assert main([*argv, "--out", d]) == 1
+    assert f"usage error: {message}" in capsys.readouterr().err
+    assert os.listdir(d) == []
+
+
+def test_decay_checks_the_fit_depth_before_sampling(monkeypatch):
+    # the library, like the CLI, rejects a too-shallow fit before the first sample
+    def no_sample(src, digits, seed):
+        raise AssertionError("a sample ran before the fit depth was checked")
+
+    monkeypatch.setattr(weyl, "sample_point", no_sample)
+    with pytest.raises(ValueError, match="need m_max >= 3"):
+        weyl.mean_decay_profile(iid_source([Fraction(7, 10), Fraction(3, 10)]),
+                                parse_beta("(1+sqrt5)/2"), 2, (1, 2, 3), n_points=100,
+                                samples=16, seed=0, fit_m_max=2, workers=1)
+
+
+@pytest.mark.parametrize(
+    "beta, need",
+    [
+        # the tail bound b^-n/(b-1) <= 1e-10 needs about 4e8 terms for b = 1 + 1e-7
+        ("1.0000001", "about 391,439,488"),
+        # b's bound rounds to 1 as a float, where the estimate has no finite value
+        ("1." + "0" * 30 + "1", "over 10^17"),
+    ],
+    ids=["1e-7", "1e-31"],
+)
+def test_parry_refuses_a_base_too_close_to_one(tmp_path, capsys, beta, need):
+    d = str(tmp_path)
+    t0 = time.perf_counter()
+    assert main(["parry", "--beta", beta, "--out", d]) == 1
+    assert time.perf_counter() - t0 < 2
+    err = capsys.readouterr().err
+    assert f"usage error: --beta {beta} needs {need} series terms at --tol 1e-10" in err
+    assert f"at most {cli.MAX_PARRY_TERMS:,} are run" in err
+    assert os.listdir(d) == []
+
+
+def test_parry_series_refuses_a_base_that_rounds_to_one():
+    # the library's own term search would otherwise divide by log(1.0) = 0
+    with pytest.raises(ValueError, match="too close to 1"):
+        ParryDensity(parse_beta("1." + "0" * 30 + "1")).terms_for(Fraction(1, 10**10))
 
 
 def test_precision_exhausted_in_a_pool_worker_exits_3(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -309,7 +310,9 @@ class _PerStepOracle(precision._IntervalOrbit):
                 x_lo >>= drop
                 x_hi = -((-x_hi) >> drop)
                 s = s_next
-            self.triples.append((x_lo, x_hi, s))
+            self.los.append(x_lo)
+            self.his.append(x_hi)
+            self.scales.append(s)
             self.digits.append(k)
 
     def _block(self, digits):
@@ -386,7 +389,90 @@ def _mid_float(lo, hi, s):
 @pytest.mark.parametrize("desc", [PHI, "5/2", "2.2", "2." + "3" * 60])
 def test_orbit_floats_are_the_truncated_midpoints(desc):
     b, x, n = parse_beta(desc), Fraction(12345, 99991), 700
-    triples, points, _, _ = precision._certified_orbit(b, x, n, 9, "auto", exact_cutoff=0)
+    columns, points, _, _ = precision._certified_orbit(b, x, n, 9, "auto", exact_cutoff=0)
     assert points is None
-    want = [_mid_float(*t).hex() for t in triples]
+    want = [_mid_float(*t).hex() for t in zip(*columns)]
     assert [f.hex() for f in tb_orbit_floats(b, x, n)] == want
+
+
+def _columns_of(points):
+    """Columns (lo mantissas, hi mantissas, scales) of (lo, hi, s) points."""
+    return tuple(map(list, zip(*points)))
+
+
+@st.composite
+def _mantissa_points(draw):
+    s = draw(st.integers(64, 3000))
+    lo = draw(st.integers(0, (1 << s) - 1))
+    hi = draw(st.integers(lo, 1 << s))
+    return lo, hi, s
+
+
+@settings(max_examples=300)
+@given(points=st.lists(_mantissa_points(), min_size=1, max_size=40))
+def test_vectorised_midpoints_match_the_per_point_conversion(points):
+    got = precision._midpoint_floats(_columns_of(points))
+    assert [f.hex() for f in got] == [_mid_float(*p).hex() for p in points]
+
+
+def _tot_point(tot, s):
+    """A point (lo, hi, s) with lo + hi = tot."""
+    lo = tot // 2
+    return lo, tot - lo, s
+
+
+def _tie(s, odd):
+    """A point whose 56-bit truncated midpoint lies halfway between two
+    53-bit floats, the lower one even (odd=False) or odd; bits below the
+    truncation are set, so only truncation-then-rounding gives the float."""
+    v = (1 << 55) | (0b1010110 << 20) | (int(odd) << 3) | 0b100
+    return _tot_point((v << (s - 55)) | ((1 << (s - 55)) - 1), s)
+
+
+@pytest.mark.parametrize("s", [64, 65, 200, 4000])
+def test_vectorised_midpoints_at_their_edges(s):
+    points = [
+        _tot_point(((1 << 55) - 1) << (s - 62), s),  # m = 2^55 - 1: the per-point formula
+        _tot_point((1 << 55) << (s - 62), s),  # m = 2^55: the smallest array value
+        _tot_point(((1 << 55) << (s - 62)) - 1, s),  # just below 2^55 by its low bits
+        ((1 << s) - 1, 1 << s, s),  # x just below 1: m = 2^63 - 1
+        ((1 << s) - 3, (1 << s) - 2, s),  # m >= 2^62
+        _tie(s, odd=False),
+        _tie(s, odd=True),
+        (0, 0, s),
+        (0, 1, s),
+    ]
+    got = precision._midpoint_floats(_columns_of(points))
+    assert [f.hex() for f in got] == [_mid_float(*p).hex() for p in points]
+    # the ties round to even: down from an even float, up from an odd one
+    for point, f in zip(points[5:7], got[5:7]):
+        exact = Fraction(point[0] + point[1], 1 << (point[2] + 1))
+        assert (Fraction(f) > exact) == (point is points[6])
+
+
+def test_width_check_rejects_a_forced_wide_point():
+    b, x, n, d = parse_beta(PHI), Fraction(12345, 99991), 700, 9
+    columns, points, _, _ = precision._certified_orbit(b, x, n, d, "auto", exact_cutoff=0)
+    assert points is None and precision._width_ok(columns, d)
+    los, his, scales = columns
+    i = 417
+    widest = (1 << scales[i]) // 10**d  # (hi - lo) * 10^d <= 2^s, at equality or below
+    for width, ok in ((widest, True), (widest + 1, False)):
+        wide = list(his)
+        wide[i] = los[i] + width
+        assert precision._width_ok((los, wide, scales), d) is ok
+        assert ok == all((h - lo) * 10**d <= 1 << s for lo, h, s in zip(los, wide, scales))
+
+
+def test_long_orbit_floats_peak_below_the_tuple_layout():
+    # one (lo, hi, s) tuple per point plus a list of floats peaked at 3.62 MiB
+    # on this orbit; the columns and the streamed array conversion stay below
+    b, x = parse_beta(PHI), Fraction(123457, 999983)
+    tb_orbit_floats(b, x, 200)  # first-call allocations outside the measurement
+    tracemalloc.start()
+    try:
+        tb_orbit_floats(b, x, 20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.62 * 2**20

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from betalab import sources
 from betalab.sources import (
+    GridMass,
     MarkovSource,
     _chunk_length,
     chain_entropy,
@@ -214,3 +215,74 @@ def test_source_dict_roundtrip(tmp_path):
     d = source_to_dict(CHAIN)
     back = source_from_dict(json.loads(json.dumps(d)))
     assert back.rows == CHAIN.rows and back.order == 1
+
+
+# -- the one-pass condition DPs against the per-depth DPs --------------------------
+
+
+def _per_depth_ess_sup(src, m):
+    """Max conditional mass of a depth-m cylinder: the max-product DP run
+    from scratch for this one depth."""
+    v = [Fraction(1)] * src.n_contexts
+    for _ in range(m):
+        nxt = [Fraction(0)] * src.n_contexts
+        for c in range(src.n_contexts):
+            for s in range(src.a):
+                t = src.roll(c, s)
+                nxt[t] = max(nxt[t], v[c] * src.prob(c, s))
+        v = nxt
+    return max(v)
+
+
+def _per_depth_near_diagonal(src, m):
+    """Near-diagonal pair mass at depth m: the EQ/ADJ pair DP run from scratch
+    for this one depth, from every starting context."""
+    a, best = src.a, Fraction(0)
+    for eta in range(src.n_contexts):
+        eq, adj = {eta: Fraction(1)}, {}
+        for _ in range(m):
+            eq2, adj2 = {}, {}
+            for c, val in eq.items():
+                for s in range(a):
+                    p, t = src.prob(c, s), src.roll(c, s)
+                    eq2[t] = eq2.get(t, 0) + val * p * p
+                    if s + 1 < a:
+                        key = (t, src.roll(c, s + 1))
+                        adj2[key] = adj2.get(key, 0) + val * p * src.prob(c, s + 1)
+            for (c, c2), val in adj.items():
+                key = (src.roll(c, a - 1), src.roll(c2, 0))
+                adj2[key] = adj2.get(key, 0) + val * src.prob(c, a - 1) * src.prob(c2, 0)
+            eq, adj = eq2, adj2
+        best = max(best, sum(eq.values(), Fraction(0)) + 2 * sum(adj.values(), Fraction(0)))
+    return best
+
+
+@st.composite
+def _small_sources(draw):
+    a = draw(st.sampled_from((2, 3)))
+    order = draw(st.integers(0, 2))
+    rows = []
+    for _ in range(a**order):
+        weights = draw(st.lists(st.integers(1, 9), min_size=a, max_size=a))
+        rows.append([Fraction(w, sum(weights)) for w in weights])
+    return MarkovSource(a, order, rows)
+
+
+@settings(max_examples=25, deadline=None)
+@given(src=_small_sources(), m_max=st.integers(3, 10))
+def test_one_pass_condition_dps_match_the_per_depth_dps(src, m_max):
+    est = fit_condition_exponents(src, m_max=m_max)
+    assert len(est.rows) == m_max
+    for m, (ess, near) in enumerate(est.rows, start=1):
+        k = src.a**m
+        assert ess == GridMass(k=k, depth=m, value=_per_depth_ess_sup(src, m))
+        assert near == GridMass(k=k, depth=m, value=_per_depth_near_diagonal(src, m))
+        assert ess_sup_interval_mass(src, k) == ess and near_diagonal_mass(src, k) == near
+    # depth 0 is the empty word alone
+    assert ess_sup_interval_mass(src, 1) == near_diagonal_mass(src, 1) == GridMass(1, 0, 1)
+    # a scale between two powers of a takes the covering bound one depth down
+    k = src.a**m_max - 1
+    cover = min(Fraction(1), 2 * _per_depth_ess_sup(src, m_max - 1))
+    assert ess_sup_interval_mass(src, k) == GridMass(k=k, depth=m_max - 1, value=cover)
+    cover = min(Fraction(1), 2 * _per_depth_near_diagonal(src, m_max - 1))
+    assert near_diagonal_mass(src, k) == GridMass(k=k, depth=m_max - 1, value=cover)
