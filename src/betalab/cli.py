@@ -42,7 +42,7 @@ from .coding import (
     control_near_diagonal,
     estimate_near_diagonal,
 )
-from .parry import ParryDensity, estimated_terms
+from .parry import SAMPLE_TOL, ParryDensity, estimated_terms
 from .precision import (
     CertificationError,
     DescriptorError,
@@ -86,9 +86,10 @@ EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 EXIT_PRECISION = 3
 
-# `parry` refuses a base whose series needs more terms than this at --tol: the
-# exact orbit prefix costs about quadratically in its length, and 900 terms
-# (--beta 1.03 at the default --tol) already take about 7 s on a 2-vCPU VM.
+# `parry` and `lemma32 --mu parry` refuse a base whose series needs more terms
+# than this at the tolerance they sum to: the exact orbit prefix costs about
+# quadratically in its length, and 900 terms (`parry --beta 1.03` at the
+# default --tol) already take about 7 s on a 2-vCPU VM.
 MAX_PARRY_TERMS = 1000
 
 
@@ -105,6 +106,26 @@ class _Parser(argparse.ArgumentParser):
     # UsageError so the exit-code contract stays ours
     def error(self, message):  # noqa: A003 - argparse API
         raise UsageError(message)
+
+
+class _Floor(argparse.Action):
+    """A number flag whose floor is checked as it is parsed, before any
+    workspace exists: an int must be at least `floor` (`why` ends the
+    message), a float positive (floor 0.0).  nan and inf pass on to
+    `_check_finite`, which names them as such."""
+
+    def __init__(self, option_strings, dest, floor, why="", **kwargs):
+        super().__init__(option_strings, dest, **kwargs)
+        self.floor, self.why = floor, why
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        flag = self.option_strings[0]
+        if isinstance(value, float):
+            if math.isfinite(value) and value <= self.floor:
+                raise UsageError(f"{flag} must be positive, got {value}")
+        elif value < self.floor:
+            raise UsageError(f"{flag} must be at least {self.floor}{self.why}, got {value}")
+        setattr(namespace, self.dest, value)
 
 
 # -- point descriptors -------------------------------------------------------
@@ -278,22 +299,23 @@ def cmd_expand(args, ws: Workspace) -> int:
     return EXIT_OK
 
 
-def cmd_parry(args, ws: Workspace) -> int:
-    if args.grid < 1:
-        raise UsageError(f"--grid must be at least 1, got {args.grid}")
-    if args.tol <= 0:
-        raise UsageError(f"--tol must be positive, got {args.tol}")
-    if args.fourier < 0:
-        raise UsageError(f"--fourier must be at least 0, got {args.fourier}")
-    b = parse_beta(args.beta)
-    terms = estimated_terms(b, args.tol)
+def _parry_density(args, b, tol: float, at: str) -> ParryDensity:
+    """b's Parry density, refused when its series needs more than
+    MAX_PARRY_TERMS terms at tol, the tolerance the caller sums to (`at`
+    names it in the message)."""
+    terms = estimated_terms(b, tol)
     if terms > MAX_PARRY_TERMS:
         need = "over 10^17" if terms == math.inf else f"about {terms:,}"  # b - 1 < 2^-52
         raise UsageError(
-            f"--beta {args.beta} needs {need} series terms at --tol {args.tol:g} "
+            f"--beta {args.beta} needs {need} series terms at {at} "
             f"(tail bound b^-n/(b-1)); at most {MAX_PARRY_TERMS:,} are run"
         )
-    den = ParryDensity(b)
+    return ParryDensity(b)
+
+
+def cmd_parry(args, ws: Workspace) -> int:
+    b = parse_beta(args.beta)
+    den = _parry_density(args, b, args.tol, f"--tol {args.tol:g}")
     rows = den.grid_rows(args.grid, tol=args.tol)
     z_lo, z_hi = den.normalizer(tol=args.tol)
     fourier = [
@@ -316,10 +338,6 @@ def cmd_parry(args, ws: Workspace) -> int:
 
 
 def cmd_orbit(args, ws: Workspace) -> int:
-    if args.steps < 1:
-        raise UsageError(f"--steps must be at least 1, got {args.steps}")
-    if args.digits_required < 1:
-        raise UsageError(f"--digits-required must be at least 1, got {args.digits_required}")
     b = parse_beta(args.beta)
     x = parse_point(args.x)
     pts, digs, bits = orbit_with_digits(
@@ -346,10 +364,6 @@ def cmd_orbit(args, ws: Workspace) -> int:
 
 
 def cmd_weyl(args, ws: Workspace) -> int:
-    if args.N < 1:
-        raise UsageError(f"--N must be at least 1, got {args.N}")
-    if args.digits_required < 1:
-        raise UsageError(f"--digits-required must be at least 1, got {args.digits_required}")
     b = parse_beta(args.beta)
     x = parse_point(args.x)
     ms = _number_list(args.m, int)
@@ -377,15 +391,6 @@ def cmd_weyl(args, ws: Workspace) -> int:
 
 
 def cmd_decay(args, ws: Workspace) -> int:
-    if args.N < 2:
-        raise UsageError(f"--N must be at least 2, got {args.N}")
-    if args.workers < 0:
-        raise UsageError(f"--workers must be at least 0, got {args.workers}")
-    if args.samples < MIN_SAMPLES:
-        raise UsageError(f"--samples must be at least {MIN_SAMPLES}, got {args.samples}")
-    _check_m_max("--fit-m-max", args.fit_m_max)
-    if args.a < 2:
-        raise UsageError(f"--a must be at least 2, got {args.a}")
     b = parse_beta(args.beta)
     src = _make_source(args)
     ms = _number_list(args.ms, int)
@@ -446,11 +451,10 @@ def _lemma32_measure(args, b):
     if args.mu == "uniform":
         return "uniform"
     if args.mu == "parry":
-        return ParryDensity(b).sample(args.cloud, args.seed)
-    if args.mu == "selfsim":
-        meas = SelfSimilarMeasure(b, args.p0, args.p1)
-        return ssm_sample(meas, args.cloud, seed=args.seed)
-    raise UsageError(f"unknown measure {args.mu!r}")
+        den = _parry_density(args, b, SAMPLE_TOL, f"the sampler's tolerance {SAMPLE_TOL:g}")
+        return den.sample(args.cloud, args.seed)
+    meas = SelfSimilarMeasure(b, args.p0, args.p1)
+    return ssm_sample(meas, args.cloud, seed=args.seed)
 
 
 def cmd_lemma32(args, ws: Workspace) -> int:
@@ -490,12 +494,6 @@ def cmd_lemma32(args, ws: Workspace) -> int:
 
 
 def cmd_invariance(args, ws: Workspace) -> int:
-    if args.N < 1:
-        raise UsageError(f"--N must be at least 1, got {args.N}")
-    if args.degrees < 1:
-        raise UsageError(f"--degrees must be at least 1, got {args.degrees}")
-    if args.digits_required < 1:
-        raise UsageError(f"--digits-required must be at least 1, got {args.digits_required}")
     b = parse_beta(args.beta)
     x = parse_point(args.x)
     n = args.N
@@ -603,15 +601,7 @@ def cmd_counterexample(args, ws: Workspace) -> int:
     return EXIT_OK
 
 
-def _check_m_max(flag: str, m_max: int) -> None:
-    if m_max < MIN_FIT_DEPTH:
-        raise UsageError(
-            f"{flag} must be at least {MIN_FIT_DEPTH} for a meaningful fit, got {m_max}"
-        )
-
-
 def cmd_conditions(args, ws: Workspace) -> int:
-    _check_m_max("--m-max", args.m_max)
     src = _make_source(args)
     est = fit_condition_exponents(src, m_max=args.m_max)
     rows = [
@@ -642,9 +632,9 @@ def build_parser() -> _Parser:
     top = _Parser(prog="betalab", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", parents=[], help="classify a base from the orbit of 1")
+    p = sub.add_parser("classify", help="classify a base from the orbit of 1")
     p.add_argument("--beta", required=True)
-    p.add_argument("--depth", type=int, default=64)
+    p.add_argument("--depth", type=int, default=64, action=_Floor, floor=2)
     p.add_argument("--alphabet", type=int, default=0, help="also report gap constants for this digit alphabet")
     _add_common(p)
     p.set_defaults(func=cmd_classify)
@@ -652,24 +642,24 @@ def build_parser() -> _Parser:
     p = sub.add_parser("expand", help="greedy digits of a point")
     p.add_argument("--beta", required=True)
     p.add_argument("--x", required=True)
-    p.add_argument("--digits", type=int, default=32)
+    p.add_argument("--digits", type=int, default=32, action=_Floor, floor=1)
     p.add_argument("--method", default="auto", choices=("auto", "interval", "exact"))
     _add_common(p)
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("parry", help="invariant density grid, normalizer, Fourier prefix")
     p.add_argument("--beta", required=True)
-    p.add_argument("--grid", type=int, default=512)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--fourier", type=int, default=8)
+    p.add_argument("--grid", type=int, default=512, action=_Floor, floor=1)
+    p.add_argument("--tol", type=float, default=1e-10, action=_Floor, floor=0.0)
+    p.add_argument("--fourier", type=int, default=8, action=_Floor, floor=0)
     _add_common(p)
     p.set_defaults(func=cmd_parry)
 
     p = sub.add_parser("orbit", help="certified orbit enclosures and digits")
     p.add_argument("--beta", required=True)
     p.add_argument("--x", required=True)
-    p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--digits-required", type=int, default=12)
+    p.add_argument("--steps", type=int, default=100, action=_Floor, floor=1)
+    p.add_argument("--digits-required", type=int, default=12, action=_Floor, floor=1)
     p.add_argument("--method", default="auto", choices=("auto", "interval", "exact"))
     _add_common(p)
     p.set_defaults(func=cmd_orbit)
@@ -678,22 +668,24 @@ def build_parser() -> _Parser:
     p.add_argument("--beta", required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--m", default="1", help="comma-separated frequencies")
-    p.add_argument("--N", type=int, default=10000)
-    p.add_argument("--digits-required", type=int, default=9)
+    p.add_argument("--N", type=int, default=10000, action=_Floor, floor=1)
+    p.add_argument("--digits-required", type=int, default=9, action=_Floor, floor=1)
     _add_common(p)
     p.set_defaults(func=cmd_weyl)
 
     p = sub.add_parser("decay", help="mean |S_N(m)| profile over mu-random starts")
     p.add_argument("--beta", required=True)
-    p.add_argument("--a", type=int, default=2)
+    p.add_argument("--a", type=int, default=2, action=_Floor, floor=2)
     p.add_argument("--iid", help="comma-separated digit probabilities")
     p.add_argument("--source", help="JSON Markov source file")
-    p.add_argument("--N", type=int, default=20000)
-    p.add_argument("--samples", type=int, default=128)
+    p.add_argument("--N", type=int, default=20000, action=_Floor, floor=2)
+    p.add_argument("--samples", type=int, default=128, action=_Floor, floor=MIN_SAMPLES)
     p.add_argument("--ms", default="1,2,3,4,5,6,7,8,512,640,768,896,1024")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fit-m-max", type=int, default=12)
-    p.add_argument("--workers", type=int, default=0, help="sample processes, 0 for one per CPU")
+    p.add_argument("--fit-m-max", type=int, default=12, action=_Floor, floor=MIN_FIT_DEPTH,
+                   why=" for a meaningful fit")
+    p.add_argument("--workers", type=int, default=0, action=_Floor, floor=0,
+                   help="sample processes, 0 for one per CPU")
     _add_common(p)
     p.set_defaults(func=cmd_decay)
 
@@ -714,7 +706,7 @@ def build_parser() -> _Parser:
     p.add_argument("--c", type=float, default=0.0)
     p.add_argument("--d", type=float, default=1.0)
     p.add_argument("--cloud", type=int, default=20000)
-    p.add_argument("--nodes", type=int, default=256)
+    p.add_argument("--nodes", type=int, default=256, action=_Floor, floor=1)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_lemma32)
@@ -722,9 +714,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("invariance", help="pushforward defect of empirical coefficients")
     p.add_argument("--beta", required=True)
     p.add_argument("--x", required=True)
-    p.add_argument("--N", type=int, default=10000)
-    p.add_argument("--degrees", type=int, default=64)
-    p.add_argument("--digits-required", type=int, default=9)
+    p.add_argument("--N", type=int, default=10000, action=_Floor, floor=1)
+    p.add_argument("--degrees", type=int, default=64, action=_Floor, floor=1)
+    p.add_argument("--digits-required", type=int, default=9, action=_Floor, floor=1)
     _add_common(p)
     p.set_defaults(func=cmd_invariance)
 
@@ -735,15 +727,15 @@ def build_parser() -> _Parser:
     p.add_argument("--xi-max", type=float, default=1e4)
     p.add_argument("--level", type=int, default=0, help="singularity witness level, 0 to skip")
     p.add_argument("--samples", type=int, default=200000)
-    p.add_argument("--grid-k", type=int, default=64)
+    p.add_argument("--grid-k", type=int, default=64, action=_Floor, floor=1)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_selfsim)
 
     p = sub.add_parser("counterexample", help="staged marker process and near-diagonal floor")
-    p.add_argument("--l", type=int, default=3)
+    p.add_argument("--l", type=int, default=3, action=_Floor, floor=3)
     p.add_argument("--epsilon", default="1/4")
-    p.add_argument("--K", type=int, default=2)
+    p.add_argument("--K", type=int, default=2, action=_Floor, floor=1)
     p.add_argument("--pairs", type=int, default=100000)
     p.add_argument("--past", type=int, default=0, help="pool size, 0 for auto")
     p.add_argument("--window", type=int, default=0, help="conditioning window, 0 for span")
@@ -756,7 +748,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("conditions", help="interval and near-diagonal mass exponents")
     p.add_argument("--iid", help="comma-separated digit probabilities")
     p.add_argument("--source", help="JSON Markov source file")
-    p.add_argument("--m-max", type=int, default=12)
+    p.add_argument("--m-max", type=int, default=12, action=_Floor, floor=MIN_FIT_DEPTH,
+                   why=" for a meaningful fit")
     _add_common(p)
     p.set_defaults(func=cmd_conditions)
 

@@ -43,6 +43,9 @@ from .precision import (
 
 _ONE = Enclosure(Fraction(1), Fraction(1), exact=Fraction(1))
 
+# tail tolerance of the series behind `ParryDensity.sample`'s CDF knots
+SAMPLE_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class FourierCoefficient:
@@ -406,7 +409,7 @@ class ParryDensity:
 
     # -- sampling and export ----------------------------------------------------
 
-    def _knots(self, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+    def _knots(self, tol: float = SAMPLE_TOL) -> tuple[np.ndarray, np.ndarray]:
         """Piecewise-linear normalized CDF: knot abscissae and F values."""
         n_terms = self.terms_for(Fraction(tol))
         floats = self._term_floats(len(self.prefix(n_terms)))

@@ -594,6 +594,59 @@ def test_parry_series_refuses_a_base_that_rounds_to_one():
         ParryDensity(parse_beta("1." + "0" * 30 + "1")).terms_for(Fraction(1, 10**10))
 
 
+def test_lemma32_parry_refuses_a_base_too_close_to_one(tmp_path, capsys):
+    # the sampler sums its series to parry.SAMPLE_TOL, about 4e8 terms here
+    d = str(tmp_path)
+    t0 = time.perf_counter()
+    assert main(["lemma32", "--mu", "parry", "--beta", "1.0000001", "--out", d]) == 1
+    assert time.perf_counter() - t0 < 2
+    err = capsys.readouterr().err
+    assert "usage error: --beta 1.0000001 needs about" in err
+    assert f"at most {cli.MAX_PARRY_TERMS:,} are run" in err
+    assert os.listdir(d) == []
+
+
+# valid values of each command's required flags
+_REQUIRED_FLAGS = {
+    "classify": ("--beta", "2"),
+    "expand": ("--beta", "2", "--x", "1/3"),
+    "parry": ("--beta", "5/2"),
+    "orbit": ("--beta", "2", "--x", "1/3"),
+    "weyl": ("--beta", "2", "--x", "1/3"),
+    "decay": ("--beta", "(1+sqrt5)/2", "--iid", "7/10,3/10"),
+    "invariance": ("--beta", "2", "--x", "1/3"),
+    "selfsim": ("--beta", "2.2"),
+    "conditions": ("--iid", "7/10,3/10"),
+}
+
+
+def _declared_floors() -> list:
+    """(command, flag, floor) of every flag the parser declares with a floor."""
+    top = cli.build_parser()
+    commands = next(a for a in top._actions if a.dest == "command").choices
+    return [
+        pytest.param(command, action.option_strings[0], action.floor,
+                     id=command + action.option_strings[0])
+        for command, parser in commands.items()
+        for action in parser._actions
+        if isinstance(action, cli._Floor)
+    ]
+
+
+@pytest.mark.parametrize("command, flag, floor", _declared_floors())
+def test_every_declared_floor_is_a_usage_error_before_any_work(tmp_path, monkeypatch, capsys,
+                                                                command, flag, floor):
+    def no_sample(src, digits, seed):
+        raise AssertionError("a sample ran before the flags were checked")
+
+    monkeypatch.setattr(weyl, "sample_point", no_sample)
+    d = str(tmp_path)
+    argv = [command, *_REQUIRED_FLAGS.get(command, ()), f"{flag}={floor - 1}", "--out", d]
+    assert main(argv) == 1
+    assert f"usage error: {flag} must be" in capsys.readouterr().err
+    assert os.listdir(d) == []
+
+
 def test_precision_exhausted_in_a_pool_worker_exits_3(tmp_path, monkeypatch, capsys):
     if multiprocessing.get_context().get_start_method() != "fork":
         pytest.skip("only forked pool workers inherit the patched sampler")
