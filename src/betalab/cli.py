@@ -9,9 +9,9 @@ in index order, so decay.json and decay.csv have the same bytes at every
 worker count (tests/test_cli.py::test_decay_bytes_are_pinned); only the
 manifest records the flag.
 
-Bases (--beta) and points (--x) share one descriptor grammar,
-`precision.parse_exact`; a descriptor it rejects, a zero denominator
-included, is a usage error.
+Bases (--beta), points (--x) and counterexample's --epsilon share one
+descriptor grammar, `precision.parse_exact`; a descriptor it rejects, a zero
+denominator included, is a usage error.
 
 Exit codes: 0 success, 1 usage or domain error, 2 certified invariant
 violation (a bound the library promises was breached beyond its stated error
@@ -42,7 +42,7 @@ from .coding import (
     control_near_diagonal,
     estimate_near_diagonal,
 )
-from .parry import SAMPLE_TOL, ParryDensity, estimated_terms
+from .parry import ParryDensity, estimated_terms
 from .precision import (
     CertificationError,
     DescriptorError,
@@ -91,6 +91,9 @@ EXIT_PRECISION = 3
 # quadratically in its length, and 900 terms (`parry --beta 1.03` at the
 # default --tol) already take about 7 s on a 2-vCPU VM.
 MAX_PARRY_TERMS = 1000
+
+# tail tolerance of the series behind `lemma32 --mu parry`'s sample cloud
+SAMPLE_TOL = 1e-12
 
 
 class UsageError(Exception):
@@ -300,9 +303,8 @@ def cmd_expand(args, ws: Workspace) -> int:
 
 
 def _parry_density(args, b, tol: float, at: str) -> ParryDensity:
-    """b's Parry density, refused when its series needs more than
-    MAX_PARRY_TERMS terms at tol, the tolerance the caller sums to (`at`
-    names it in the message)."""
+    """b's Parry density summed to tol, refused when its series needs more
+    than MAX_PARRY_TERMS terms there (`at` names tol in the message)."""
     terms = estimated_terms(b, tol)
     if terms > MAX_PARRY_TERMS:
         need = "over 10^17" if terms == math.inf else f"about {terms:,}"  # b - 1 < 2^-52
@@ -310,17 +312,15 @@ def _parry_density(args, b, tol: float, at: str) -> ParryDensity:
             f"--beta {args.beta} needs {need} series terms at {at} "
             f"(tail bound b^-n/(b-1)); at most {MAX_PARRY_TERMS:,} are run"
         )
-    return ParryDensity(b)
+    return ParryDensity(b, tol)
 
 
 def cmd_parry(args, ws: Workspace) -> int:
     b = parse_beta(args.beta)
     den = _parry_density(args, b, args.tol, f"--tol {args.tol:g}")
-    rows = den.grid_rows(args.grid, tol=args.tol)
-    z_lo, z_hi = den.normalizer(tol=args.tol)
-    fourier = [
-        {"m": m, **asdict(den.fourier(m, tol=args.tol))} for m in range(1, args.fourier + 1)
-    ]
+    rows = den.grid_rows(args.grid)
+    z_lo, z_hi = den.normalizer()
+    fourier = [{"m": m, **asdict(den.fourier(m))} for m in range(1, args.fourier + 1)]
     ws.write_json(
         {
             "beta": args.beta,
@@ -558,7 +558,12 @@ def cmd_selfsim(args, ws: Workspace) -> int:
 
 
 def cmd_counterexample(args, ws: Workspace) -> int:
-    eps = Fraction(args.epsilon)
+    try:
+        eps = parse_exact(args.epsilon)
+    except DescriptorError as exc:
+        raise UsageError(f"--epsilon: {exc}") from None
+    if not isinstance(eps, Fraction):
+        raise UsageError(f"--epsilon must be rational, got {args.epsilon!r}")
     params = build_schedule(args.l, eps, args.K)
     proc = CodedProcess(params, W=args.window or None)
     try:
@@ -635,7 +640,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("classify", help="classify a base from the orbit of 1")
     p.add_argument("--beta", required=True)
     p.add_argument("--depth", type=int, default=64, action=_Floor, floor=2)
-    p.add_argument("--alphabet", type=int, default=0, help="also report gap constants for this digit alphabet")
+    p.add_argument("--alphabet", type=int, default=0, action=_Floor, floor=0,
+                   help="also report gap constants for this digit alphabet")
     _add_common(p)
     p.set_defaults(func=cmd_classify)
 
@@ -692,7 +698,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("exponent", help="closed-form rate vs grid minimax")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--grid", type=int, default=200, help="grid resolution, 0 to skip")
+    p.add_argument("--grid", type=int, default=200, action=_Floor, floor=0,
+                   help="grid resolution, 0 to skip")
     _add_common(p)
     p.set_defaults(func=cmd_exponent)
 
@@ -725,7 +732,8 @@ def build_parser() -> _Parser:
     p.add_argument("--p0", type=float, default=0.5)
     p.add_argument("--p1", type=float, default=0.5)
     p.add_argument("--xi-max", type=float, default=1e4)
-    p.add_argument("--level", type=int, default=0, help="singularity witness level, 0 to skip")
+    p.add_argument("--level", type=int, default=0, action=_Floor, floor=0,
+                   help="singularity witness level, 0 to skip")
     p.add_argument("--samples", type=int, default=200000)
     p.add_argument("--grid-k", type=int, default=64, action=_Floor, floor=1)
     p.add_argument("--seed", type=int, default=0)

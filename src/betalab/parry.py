@@ -43,8 +43,9 @@ from .precision import (
 
 _ONE = Enclosure(Fraction(1), Fraction(1), exact=Fraction(1))
 
-# tail tolerance of the series behind `ParryDensity.sample`'s CDF knots
-SAMPLE_TOL = 1e-12
+# width of the normalizer `ParryDensity.fourier` divides by, whatever the
+# density's own tol
+FOURIER_Z_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -188,35 +189,38 @@ def estimated_terms(b: BetaNumber, tol) -> float:
 
 
 class ParryDensity:
-    """Truncated density series with a lazily grown certified orbit prefix.
+    """Truncated density series summed to one tolerance over a certified
+    orbit prefix.
 
-    The orbit prefix r_0 = 1, r_1 = {b}, ... is recomputed from scratch when a
-    finer tolerance needs more terms; for simple bases the series is finite
-    and evaluation becomes exact (tail identically zero past the hit).
+    Each sum reads its own share of tol: density_at and normalizer tol/2,
+    interval_mass and the grid's CDF tol/4 over a normalizer summed to tol/8,
+    fourier(m) tol*|m|/4 and the sampler's CDF knots tol.  The prefix
+    r_0 = 1, r_1 = {b}, ... is computed in the constructor, long enough for
+    all of them.  It is computed again, from scratch, in two cases only: a
+    probe inside an orbit point's enclosure refines it at doubled precision
+    (`_resolve_cmp`), and fourier's normalizer, summed to FOURIER_Z_TOL/2
+    whatever tol is, may need more terms.  For simple bases the series is
+    finite and evaluation becomes exact (tail identically zero past the hit).
     """
 
-    def __init__(self, base: BetaNumber):
+    def __init__(self, base: BetaNumber, tol: float):
         self.base = base
+        self.tol = tol
         self.digits_required = 13  # doubled by _resolve_cmp when a probe needs it
-        self._orbit: list[Enclosure] = [_ONE]
-        self._z: dict[float, tuple[Fraction, Fraction]] = {}  # normalizer by tol
-        self._floats: list[tuple[float, float, float, float]] = []  # per term, see _term_floats
         self._zero_from: int | None = None  # least n with r_n certified 0
-        self._pow_lo: list[Fraction] = [Fraction(1)]  # b^n lower bounds
-        self._pow_hi: list[Fraction] = [Fraction(1)]
         self._tails: dict[int, Fraction] = {}  # tail_bound by prefix length; b alone fixes it
+        self._compute_orbit(max(self.terms_for(_share(tol, 8)) - 1, 1))  # the engine takes >= 1 step
 
     # -- series bookkeeping -------------------------------------------------
 
     def _compute_orbit(self, n_steps: int) -> None:
-        """Recompute r_1 .. r_n_steps at self.digits_required."""
+        """Compute r_1 .. r_n_steps at self.digits_required."""
         pts, _, _ = orbit_with_digits(
             self.base, Fraction(1), n_steps, digits_required=self.digits_required
         )
-        # a recomputed prefix changes earlier enclosures, so Z and the
-        # per-term floats are computed again
-        self._z.clear()
-        self._floats.clear()
+        # new enclosures: Z and the per-term floats are summed again
+        self._z: dict[Fraction, tuple[Fraction, Fraction]] = {}  # normalizer by width
+        self._floats: list[tuple[float, float, float, float]] = []  # see _term_floats
         self._orbit = [_ONE] + pts
         for i, p in enumerate(self._orbit):
             if p.is_certified_zero():
@@ -224,31 +228,14 @@ class ParryDensity:
                 self._orbit = self._orbit[: i + 1]
                 break
 
-    def _extend(self, n_terms: int) -> None:
-        """Grow the prefix to cover r_0 .. r_{n_terms-1}."""
-        if self._zero_from is not None:
-            return
-        if len(self._orbit) >= n_terms:
-            return
-        self._compute_orbit(n_terms - 1)
-
-    def _powers(self, n: int) -> None:
-        while len(self._pow_lo) <= n:
-            self._pow_lo.append(self._pow_lo[-1] * self.base.lo)
-            self._pow_hi.append(self._pow_hi[-1] * self.base.hi)
-
-    def _weight(self, n: int) -> tuple[Fraction, Fraction]:
-        """Interval for b^(-n)."""
-        self._powers(n)
-        return 1 / self._pow_hi[n], 1 / self._pow_lo[n]
-
     def tail_bound(self, n_terms: int) -> Fraction:
-        """Bound on sum_{n >= n_terms} b^(-n), i.e. everything past the prefix."""
+        """Bound b_hi / (b_lo^n (b_lo - 1)) on sum_{n >= n_terms} b^(-n),
+        i.e. everything past the prefix."""
         if self._zero_from is not None and n_terms > self._zero_from:
             return Fraction(0)
         if n_terms not in self._tails:
-            w_lo, w_hi = self._weight(n_terms)
-            self._tails[n_terms] = w_hi * self.base.hi / (self.base.lo - 1)
+            b_lo = self.base.lo
+            self._tails[n_terms] = self.base.hi / (b_lo**n_terms * (b_lo - 1))
         return self._tails[n_terms]
 
     def terms_for(self, tol: Fraction) -> int:
@@ -263,7 +250,6 @@ class ParryDensity:
         return n
 
     def prefix(self, n_terms: int) -> list[Enclosure]:
-        self._extend(n_terms)
         return self._orbit[:n_terms]
 
     # -- evaluation -----------------------------------------------------------
@@ -283,34 +269,20 @@ class ParryDensity:
                 # refinement certified an earlier zero, so r_n = 0 <= x
                 return 1
 
-    def _density_terms(self, tol: float) -> int:
-        n_terms = self.terms_for(_share(tol, 2))
-        self._extend(n_terms + 1)
-        return min(n_terms, len(self._orbit))
-
-    def _mass_terms(self, tol: float) -> tuple[int, float]:
-        """Terms of the mass sums at tol, and the tolerance of their
-        normalizer.  The prefix is grown for both at once, so that the sums
-        and Z read the same prefix."""
-        target = _share(tol, 4)
-        z_tol = float(target)
-        n_terms = self.terms_for(target)
-        self._extend(max(n_terms, self.terms_for(_share(z_tol, 2))))
-        return n_terms, z_tol
-
     def _sides(self, n_terms: int, ends=(None, None), tail=Fraction(0)) -> tuple[_Side, _Side]:
         """The lower sum weighs by 1/b_hi^n and the upper by 1/b_lo^n; only
         the upper sum carries the tail."""
         return (_Side(self.base.hi, n_terms, ends[0]),
                 _Side(self.base.lo, n_terms, ends[1], tail))
 
-    def _density_sweep(self, xs: list[Fraction], n_terms: int) -> _Sweep:
-        """The density's sweep over the sorted probes xs: Q_lo and Q_hi are
-        f's bounds, P is 0.
+    def _density_sweep(self, xs: list[Fraction]) -> _Sweep:
+        """The density's sweep over the sorted probes xs, summed to tol/2:
+        Q_lo and Q_hi are f's bounds, P is 0.
 
         Every comparison x < r_n is certified before anything is summed: a
         probe inside r_n's enclosure refines the prefix, which replaces it.
         """
+        n_terms = min(self.terms_for(_share(self.tol, 2)), len(self._orbit))
         cuts = []
         for n in range(n_terms):
             if n >= len(self._orbit):
@@ -324,95 +296,96 @@ class ParryDensity:
             cuts.append(k)
         return _Sweep(self._sides(len(cuts), tail=self.tail_bound(n_terms)), (cuts, cuts), len(xs))
 
-    def _mass_sweep(self, xs: list[Fraction], n_terms: int) -> _Sweep:
+    def _mass_sweep(self, xs: list[Fraction]) -> _Sweep:
         """The sweep over the sorted probes xs of M(x) = sum_n b^(-n)
-        min(x, r_n) = P + x*Q, with r_n's lower (upper) end and weight in the
-        lower (upper) sum; the upper sum also carries x * tail_bound."""
-        pre = self._orbit[:n_terms]
+        min(x, r_n) = P + x*Q, summed to tol/4, with r_n's lower (upper) end
+        and weight in the lower (upper) sum; the upper sum also carries
+        x * tail_bound."""
+        pre = self._orbit[: self.terms_for(_share(self.tol, 4))]
         ends = ([max(r.lo, 0) for r in pre], [max(r.hi, 0) for r in pre])
         cuts = tuple([bisect_left(xs, x) for x in side] for side in ends)
         return _Sweep(self._sides(len(pre), ends, self.tail_bound(len(pre))), cuts, len(xs))
 
-    def density_at(self, x, tol: float = 1e-9) -> tuple[Fraction, Fraction]:
+    def density_at(self, x) -> tuple[Fraction, Fraction]:
         """Interval of width <= tol around the unnormalized density f(x)."""
         x = Fraction(x)
         if not 0 <= x < 1:
             raise ValueError("density probes live in [0, 1)")
-        [((f_lo, _), (f_hi, _))] = _per_probe(self._density_sweep([x], self._density_terms(tol)))
+        [((f_lo, _), (f_hi, _))] = _per_probe(self._density_sweep([x]))
         return f_lo, f_hi
 
-    def normalizer(self, tol: float = 1e-9) -> tuple[Fraction, Fraction]:
+    def normalizer(self) -> tuple[Fraction, Fraction]:
         """Interval of width <= tol around Z = sum b^(-n) T^n(1)."""
-        target = _share(tol, 2)
-        if tol not in self._z:
-            pre = self.prefix(self.terms_for(target))
+        return self._normalizer(Fraction(self.tol))
+
+    def _normalizer(self, width: Fraction) -> tuple[Fraction, Fraction]:
+        """Interval of width <= width around Z, each computed once per prefix.
+        A width finer than tol/4 (fourier's) may need a longer prefix, which
+        replaces the one every sum read so far."""
+        n_terms = self.terms_for(width / 2)
+        if n_terms > len(self._orbit) and self._zero_from is None:
+            self._compute_orbit(n_terms - 1)
+        if width not in self._z:
+            pre = self._orbit[:n_terms]
             ends = ([r.lo for r in pre], [r.hi for r in pre])
-            self._z[tol] = tuple(
+            self._z[width] = tuple(
                 Fraction(sum(p for _, _, p in side.numerators()) + side.tail, side.den)
                 for side in self._sides(len(pre), ends, self.tail_bound(len(pre))))
-        return self._z[tol]
+        return self._z[width]
 
-    def interval_mass(self, u, v, tol: float = 1e-9) -> tuple[Fraction, Fraction]:
+    def interval_mass(self, u, v) -> tuple[Fraction, Fraction]:
         """Normalized mass of [u, v): (1/Z) sum_n b^(-n) |[u,v) cap [0,r_n)|,
         which is (M(v) - M(u)) / Z."""
         u, v = Fraction(u), Fraction(v)
         if not 0 <= u < v <= 1:
             raise ValueError("need 0 <= u < v <= 1")
-        n_terms, z_tol = self._mass_terms(tol)
-        (lo_u, hi_u), (lo_v, hi_v) = _per_probe(self._mass_sweep([u, v], n_terms))
+        (lo_u, hi_u), (lo_v, hi_v) = _per_probe(self._mass_sweep([u, v]))
         m_lo = _min_sum(lo_v, v) - _min_sum(lo_u, u)
         m_hi = _min_sum(hi_v, v) - _min_sum(hi_u, u)
-        z_lo, z_hi = self.normalizer(tol=z_tol)
+        z_lo, z_hi = self._normalizer(_share(self.tol, 4))
         return m_lo / z_hi, m_hi / z_lo
 
-    def fourier(self, m: int, tol: float = 1e-9) -> FourierCoefficient:
+    def fourier(self, m: int) -> FourierCoefficient:
         """Coefficient int e(mx) dmu(x) from the closed form
         (1/Z) sum_n b^(-n) (e(m r_n) - 1) / (2 pi i m);  m = 0 gives exactly 1.
         """
         if m == 0:
             return FourierCoefficient(complex(1.0), 0.0)
-        if tol <= 0:
-            raise ValueError("tol must be positive")
-        target = Fraction(tol) * abs(m) / 4
-        n_terms = self.terms_for(target)
-        pre = self.prefix(n_terms)
+        terms = self._term_floats()[: self.terms_for(_share(self.tol, 4) * abs(m))]
         two_pi_im = 2j * math.pi * m
         s = 0.0 + 0.0j
         width_err = 0.0
-        for w_mid, rn, width, w_width in self._term_floats(len(pre)):
+        for w_mid, rn, width, w_width in terms:
             s += w_mid * (cmath.exp(two_pi_im * rn) - 1.0) / two_pi_im
             # |d/dr (e(mr)-1)/(2 pi i m)| = 1, so enclosure width passes straight through
             width_err += w_mid * width + w_width / (math.pi * abs(m))
-        tail = float(self.tail_bound(len(pre))) / (math.pi * abs(m))
-        z_lo, z_hi = self.normalizer(tol=1e-12)
+        tail = float(self.tail_bound(len(terms))) / (math.pi * abs(m))
+        z_lo, z_hi = self._normalizer(Fraction(FOURIER_Z_TOL))
         z, z_width = _mid_width(z_lo, z_hi)
         err = (abs(s) * z_width / float(z_lo) ** 2
-               + (tail + width_err + 1e-13 * len(pre)) / float(z_lo))
+               + (tail + width_err + 1e-13 * len(terms)) / float(z_lo))
         return FourierCoefficient(s / z, err)
 
-    def _term_floats(self, n_terms: int) -> list[tuple[float, float, float, float]]:
-        """Per term n < n_terms of the prefix, the floats of (w_lo + w_hi)/2,
-        r_n, r_n's width and w_hi - w_lo, w = b^(-n); each is computed once
-        per prefix, as one correctly rounded division."""
-        table = self._floats
-        if len(table) < n_terms:
-            lo, hi = self._sides(n_terms)
+    def _term_floats(self) -> list[tuple[float, float, float, float]]:
+        """Per term n of the prefix, the floats of (w_lo + w_hi)/2, r_n, r_n's
+        width and w_hi - w_lo, w = b^(-n); each is one correctly rounded
+        division of a value that does not depend on the prefix's length, and
+        is computed once per prefix."""
+        if not self._floats:
+            lo, hi = self._sides(len(self._orbit))
             d = lo.den * hi.den
-            new = []
             for (n, w_lo, _), (_, w_hi, _) in zip(lo.numerators(hi.den), hi.numerators(lo.den)):
-                if n < len(table):
-                    break
                 r_mid, r_width = _mid_width(self._orbit[n].lo, self._orbit[n].hi)
-                new.append(((w_lo + w_hi) / (2 * d), r_mid, r_width, (w_hi - w_lo) / d))
-            table += reversed(new)
-        return table[:n_terms]
+                self._floats.append(((w_lo + w_hi) / (2 * d), r_mid, r_width, (w_hi - w_lo) / d))
+            self._floats.reverse()
+        return self._floats
 
     # -- sampling and export ----------------------------------------------------
 
-    def _knots(self, tol: float = SAMPLE_TOL) -> tuple[np.ndarray, np.ndarray]:
-        """Piecewise-linear normalized CDF: knot abscissae and F values."""
-        n_terms = self.terms_for(Fraction(tol))
-        floats = self._term_floats(len(self.prefix(n_terms)))
+    def _knots(self) -> tuple[np.ndarray, np.ndarray]:
+        """Piecewise-linear normalized CDF summed to tol: knot abscissae and
+        F values."""
+        floats = self._term_floats()[: self.terms_for(Fraction(self.tol))]
         rs = sorted({r for _, r, _, _ in floats} | {0.0, 1.0})
         xs = np.array([r for r in rs if 0.0 <= r <= 1.0])
         w_mid = np.array([w for w, _, _, _ in floats])
@@ -433,7 +406,7 @@ class ParryDensity:
         u = np.random.default_rng(seed).random(n)
         return np.interp(u, cdf, xs)
 
-    def _cdf_column(self, xs: list[Fraction], n_terms: int, z_tol: float) -> list[float]:
+    def _cdf_column(self, xs: list[Fraction]) -> list[float]:
         """F(x) = (M_lo(x)/Z_hi + M_hi(x)/Z_lo)/2 at the grid xs = [i/g].
 
         With M_j = (P_j + x Q_j) / D_j, F(i/g) has the denominator
@@ -444,8 +417,8 @@ class ParryDensity:
         Fraction interval_mass(0, x) gives.
         """
         g = len(xs)
-        z_lo, z_hi = self.normalizer(tol=z_tol)
-        sweep = self._mass_sweep(xs, n_terms)
+        z_lo, z_hi = self._normalizer(_share(self.tol, 4))
+        sweep = self._mass_sweep(xs)
         d_lo, d_hi = (side.den for side in sweep.sides)
         k_lo = z_hi.denominator * d_hi * z_lo.numerator
         k_hi = z_lo.denominator * d_lo * z_hi.numerator
@@ -456,7 +429,7 @@ class ParryDensity:
             column += [(n0 + i * n1) / e for i in range(start, stop)]
         return column
 
-    def grid_rows(self, grid_n: int = 512, tol: float = 1e-10) -> list[tuple[float, float, float]]:
+    def grid_rows(self, grid_n: int = 512) -> list[tuple[float, float, float]]:
         """(x, f(x)/Z, F(x)) rows on a uniform grid, for CSV export.
 
         One sweep of the sorted grid: the sums behind f and F change only
@@ -466,16 +439,14 @@ class ParryDensity:
         if grid_n < 1:
             raise ValueError("need grid_n >= 1")
         xs = [Fraction(i, grid_n) for i in range(grid_n)]  # the row x = 1 closes the grid
-        if grid_n > 1:
-            n_mass, z_tol = self._mass_terms(tol)  # grown before any sum is taken
-        density = self._density_sweep(xs, self._density_terms(tol))
-        z, _ = _mid_width(*self.normalizer(tol=tol))
+        density = self._density_sweep(xs)
+        z, _ = _mid_width(*self.normalizer())
         d_lo, d_hi = (side.den for side in density.sides)
         two_d = 2 * d_lo * d_hi
         f_col = []  # float((f_lo + f_hi)/2) / z, with f_lo + f_hi over D_lo D_hi
         for start, stop, f_sum, _ in density.pieces((d_hi, d_lo)):
             f_col += [f_sum / two_d / z] * (stop - start)
-        cdf_col = self._cdf_column(xs, n_mass, z_tol) if grid_n > 1 else [0.0]
+        cdf_col = self._cdf_column(xs) if grid_n > 1 else [0.0]
         rows = [(i / grid_n, f, c) for i, (f, c) in enumerate(zip(f_col, cdf_col))]
         rows.append((1.0, rows[-1][1], 1.0))
         return rows

@@ -67,22 +67,22 @@ def _line(num: int, label: str, ok: bool, detail: str = "") -> None:
 
 def test_criterion_01_parry_density_exactness():
     # b = 2: normalized density identically 1 on a 1e3 grid, 1e-12
-    den2 = ParryDensity(parse_beta("2"))
-    z_lo, z_hi = den2.normalizer(tol=1e-14)
+    den2 = ParryDensity(parse_beta("2"), 1e-14)
+    z_lo, z_hi = den2.normalizer()
     worst2 = 0.0
     for i in range(1000):
-        lo, hi = den2.density_at(Fraction(i, 1000), tol=1e-14)
+        lo, hi = den2.density_at(Fraction(i, 1000))
         worst2 = max(worst2, abs(float(lo / z_hi) - 1.0), abs(float(hi / z_lo) - 1.0))
     # b = phi: unnormalized two-level density and its normalizer 1 + phi^-2
-    denp = ParryDensity(PHI)
+    denp = ParryDensity(PHI, 1e-11)
     cut = (math.sqrt(5) - 1) / 2
     worstp = 0.0
     for i in range(1000):
         x = Fraction(i, 1000)
         target = PHI_F if float(x) < cut else 1.0
-        lo, hi = denp.density_at(x, tol=1e-11)
+        lo, hi = denp.density_at(x)
         worstp = max(worstp, abs(float(lo) - target), abs(float(hi) - target))
-    zp_lo, zp_hi = denp.normalizer(tol=1e-11)
+    zp_lo, zp_hi = denp.normalizer()
     z_target = 1 + PHI_F**-2
     z_err = max(abs(float(zp_lo) - z_target), abs(float(zp_hi) - z_target))
     ok = worst2 <= 1e-12 and worstp <= 1e-10 and z_err <= 1e-10
@@ -95,15 +95,15 @@ def test_criterion_02_parry_invariance_random_intervals():
     worst = 0.0
     for name in ("(1+sqrt5)/2", "1+sqrt2", "5/2"):
         b = parse_beta(name)
-        den = ParryDensity(b)
+        den = ParryDensity(b, 1e-10)
         for _ in range(200):
             i = rng.randrange(0, 9999)
             j = rng.randrange(i + 1, 10001)
             u, v = Fraction(i, 10**4), Fraction(j, 10**4)
-            m_lo, m_hi = den.interval_mass(u, v, tol=1e-10)
+            m_lo, m_hi = den.interval_mass(u, v)
             p_lo = p_hi = Fraction(0)
             for a, c in preimage_of_interval(b, u, v):
-                lo, hi = den.interval_mass(a, c, tol=1e-10)
+                lo, hi = den.interval_mass(a, c)
                 p_lo += lo
                 p_hi += hi
             # enclosures must overlap up to the stated tolerance
@@ -119,13 +119,13 @@ def test_criterion_03_density_bounds_random_bases():
     for _ in range(20):
         num = rng.randrange(130, 400)
         bq = Fraction(num, 100)
-        den = ParryDensity(parse_beta(f"{num}/100"))
+        den = ParryDensity(parse_beta(f"{num}/100"), 1e-12)
         n_terms = den.terms_for(Fraction(1, 10**9))
         pre = den.prefix(n_terms)
         radii = np.array([float((r.lo + r.hi) / 2) for r in pre])
         bf = float(bq)
         weights = bf ** -np.arange(len(pre), dtype=float)
-        z_lo, z_hi = den.normalizer(tol=1e-12)
+        z_lo, z_hi = den.normalizer()
         z = float((z_lo + z_hi) / 2)
         probes = np.random.default_rng(num).random(10**4)
         h = ((probes[:, None] < radii[None, :]) * weights[None, :]).sum(axis=1) / z
@@ -215,7 +215,7 @@ def test_criterion_06_exponent_formula_vs_grid():
 def test_criterion_07_oscillatory_bound_sweep():
     rng = random.Random(7)
     b_phi = PHI
-    parry_mu = ParryDensity(b_phi)
+    parry_mu = ParryDensity(b_phi, 1e-12)  # the sampler's tolerance
     m22 = SelfSimilarMeasure(parse_beta("2.2"), 0.5, 0.5)
     cloud = ssm_sample(m22, 20000, seed=3)
     violations = 0

@@ -190,6 +190,22 @@ def test_parry_bytes_are_pinned(tmp_path, beta):
         assert hashlib.sha256(_bytes(d, name)).hexdigest() == want, name
 
 
+def test_parry_computes_each_orbit_prefix_once(tmp_path, monkeypatch):
+    # the constructor's 34-term prefix serves the grid, the CDF and the
+    # normalizer at --tol; fourier's normalizer at 1e-12 needs 38 terms and
+    # computes them once, for every m
+    steps = []
+    compute = ParryDensity._compute_orbit
+
+    def counting(self, n_steps):
+        steps.append(n_steps)
+        compute(self, n_steps)
+
+    monkeypatch.setattr(ParryDensity, "_compute_orbit", counting)
+    assert main(["parry", "--beta", "2.2", "--out", str(tmp_path)]) == 0
+    assert steps == [33, 37]
+
+
 def test_parry_writes_a_normalizer_past_the_int_digit_limit(tmp_path):
     # 7/5's 80-term prefix gives a normalizer of about 19,000 bits, whose
     # numerator has more decimal digits than Python converts by default
@@ -201,7 +217,7 @@ def test_parry_writes_a_normalizer_past_the_int_digit_limit(tmp_path):
     assert limit and len(lo) > limit  # the process-wide limit still holds
     sys.set_int_max_str_digits(0)
     try:
-        assert Fraction(lo) == ParryDensity(parse_beta("7/5")).normalizer(1e-10)[0]
+        assert Fraction(lo) == ParryDensity(parse_beta("7/5"), 1e-10).normalizer()[0]
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -453,6 +469,16 @@ def test_non_finite_float_flags_are_usage_errors(tmp_path, capsys, argv, flag):
     assert os.listdir(d) == []
 
 
+@pytest.mark.parametrize("epsilon", ["1/0", "abc", "(1+sqrt5)/8"])
+def test_counterexample_epsilon_is_an_exact_rational(tmp_path, capsys, epsilon):
+    # --epsilon is read in the descriptor grammar of --beta and --x: a zero
+    # denominator, a non-number and an irrational are usage errors
+    d = str(tmp_path)
+    assert main(["counterexample", "--epsilon", epsilon, "--out", d]) == 1
+    assert "usage error: --epsilon" in capsys.readouterr().err
+    assert os.listdir(d) == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [("counterexample", "--seed", "3", "--pairs", "10"), ("lemma32", "--r", "0.1,nan")],
@@ -591,11 +617,11 @@ def test_parry_refuses_a_base_too_close_to_one(tmp_path, capsys, beta, need):
 def test_parry_series_refuses_a_base_that_rounds_to_one():
     # the library's own term search would otherwise divide by log(1.0) = 0
     with pytest.raises(ValueError, match="too close to 1"):
-        ParryDensity(parse_beta("1." + "0" * 30 + "1")).terms_for(Fraction(1, 10**10))
+        ParryDensity(parse_beta("1." + "0" * 30 + "1"), 1e-10)
 
 
 def test_lemma32_parry_refuses_a_base_too_close_to_one(tmp_path, capsys):
-    # the sampler sums its series to parry.SAMPLE_TOL, about 4e8 terms here
+    # the sampler sums its series to cli.SAMPLE_TOL, about 4e8 terms here
     d = str(tmp_path)
     t0 = time.perf_counter()
     assert main(["lemma32", "--mu", "parry", "--beta", "1.0000001", "--out", d]) == 1

@@ -5,13 +5,17 @@ traced names still resolve.
 `bench/tracing.py` wraps the functions it lists in TRACED by name, so a
 renamed or deleted function would only show up as a crash of the traced
 benchmark pass.  Loading the file here (without installing anything) turns
-that into a test failure.
+that into a test failure, and one traced run of three commands checks what
+its hooks read.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -176,3 +180,44 @@ def test_traced_names_resolve():
             if not callable(obj):
                 missing.append(f"{layer}.{name}")
     assert not missing, missing
+
+
+_TRACED_CHILD = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("bench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracing.install(tracer)
+from betalab.cli import main
+out = sys.argv[2]
+for label, argv in json.loads(sys.argv[3]).items():
+    assert main([*argv, "--out", f"{out}/{label}"]) == 0, label
+metrics = tracing.layer_metrics(tracer)
+tracing.span_table(tracer)
+print(json.dumps({name: value for name, (value, _) in metrics.items()}))
+"""
+
+
+def test_traced_commands_run(tmp_path):
+    """The tracer's hooks bind the arguments of the methods they wrap and
+    read `ParryDensity._orbit`, so a changed signature or attribute would
+    only crash the traced benchmark pass.  Small `parry`, `decay` and
+    `lemma32 --mu parry` runs under an installed tracer, in a child process
+    because `install` patches the package for good."""
+    runs = {
+        "parry": ["parry", "--beta", "2.2", "--grid", "16", "--fourier", "2"],
+        "decay": ["decay", "--beta", "(1+sqrt5)/2", "--iid", "1/2,1/2", "--N", "400",
+                  "--samples", "16", "--workers", "1"],
+        "lemma32": ["lemma32", "--mu", "parry", "--beta", "(1+sqrt5)/2", "--m", "4"],
+    }
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-c", _TRACED_CHILD, str(ROOT / "bench" / "tracing.py"), str(tmp_path),
+         json.dumps(runs)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    metrics = json.loads(child.stdout.splitlines()[-1])
+    assert metrics["parry.terms"] > 0

@@ -28,40 +28,43 @@ Z_SILVER = 4 - 2 * math.sqrt(2)
 # sweep must give the same exact values and the same floats.
 
 
-def rowwise_density(den, x, tol):
-    n_terms = den.terms_for(Fraction(tol) / 2)
-    den._extend(n_terms + 1)
-    n_terms = min(n_terms, len(den._orbit))
+def weight(den, n):
+    """Interval for b^(-n), from b's bounds."""
+    return 1 / den.base.hi**n, 1 / den.base.lo**n
+
+
+def rowwise_density(den, x):
+    n_terms = min(den.terms_for(Fraction(den.tol) / 2), len(den._orbit))
     s_lo = s_hi = Fraction(0)
     for n in range(n_terms):
         if den._resolve_cmp(Fraction(x), n) < 0:
-            w_lo, w_hi = den._weight(n)
+            w_lo, w_hi = weight(den, n)
             s_lo += w_lo
             s_hi += w_hi
     return s_lo, s_hi + den.tail_bound(n_terms)
 
 
-def rowwise_mass(den, u, v, tol):
-    target = Fraction(tol) / 4
+def rowwise_mass(den, u, v):
+    target = Fraction(den.tol) / 4
     pre = den.prefix(den.terms_for(target))
     m_lo = m_hi = Fraction(0)
     for n, r in enumerate(pre):
-        w_lo, w_hi = den._weight(n)
+        w_lo, w_hi = weight(den, n)
         m_lo += w_lo * max(Fraction(0), min(v, r.lo) - u)
         m_hi += w_hi * max(Fraction(0), min(v, r.hi) - u)
     m_hi += den.tail_bound(len(pre)) * (v - u)
-    z_lo, z_hi = den.normalizer(tol=float(target))
+    z_lo, z_hi = den._normalizer(target)
     return m_lo / z_hi, m_hi / z_lo
 
 
-def rowwise_grid_rows(den, grid_n, tol):
-    z_lo, z_hi = den.normalizer(tol=tol)
+def rowwise_grid_rows(den, grid_n):
+    z_lo, z_hi = den.normalizer()
     z = float((z_lo + z_hi) / 2)
     rows = []
     for i in range(grid_n):
         x = Fraction(i, grid_n)
-        f_lo, f_hi = rowwise_density(den, x, tol)
-        cf = rowwise_mass(den, Fraction(0), x, tol) if x > 0 else (Fraction(0), Fraction(0))
+        f_lo, f_hi = rowwise_density(den, x)
+        cf = rowwise_mass(den, Fraction(0), x) if x > 0 else (Fraction(0), Fraction(0))
         rows.append((float(x), float((f_lo + f_hi) / 2) / z, float(sum(cf) / 2)))
     return rows + [(1.0, rows[-1][1], 1.0)]
 
@@ -89,22 +92,22 @@ BASES = st.one_of(
 @given(BASES, st.integers(1, 64), st.floats(1e-12, 1e-6))
 def test_grid_sweep_matches_row_by_row(descriptor, grid_n, tol):
     b = parse_beta(descriptor)
-    den = ParryDensity(b)
+    den = ParryDensity(b, tol)
     try:
-        rows = den.grid_rows(grid_n, tol)
+        rows = den.grid_rows(grid_n)
     except precision.PrecisionExhausted:
         # a grid point on an orbit point of a decimal base: no precision
         # certifies the comparison, one probe at a time either
         with pytest.raises(precision.PrecisionExhausted):
-            rowwise_grid_rows(ParryDensity(b), grid_n, tol)
+            rowwise_grid_rows(ParryDensity(b, tol), grid_n)
         return
     pre = den._orbit
-    assert rows == rowwise_grid_rows(den, grid_n, tol)
-    assert den._orbit is pre  # the sweep grew the prefix to all that the rows read
+    assert rows == rowwise_grid_rows(den, grid_n)
+    assert den._orbit is pre  # the oracle reads the prefix the sweep left
     x, y = Fraction(grid_n // 3, grid_n), Fraction(1, 3)
-    assert den.density_at(x, tol) == rowwise_density(den, x, tol)
-    assert den.density_at(y, tol) == rowwise_density(den, y, tol)
-    assert den.interval_mass(x, x + Fraction(1, 2), tol) == rowwise_mass(den, x, x + Fraction(1, 2), tol)
+    assert den.density_at(x) == rowwise_density(den, x)
+    assert den.density_at(y) == rowwise_density(den, y)
+    assert den.interval_mass(x, x + Fraction(1, 2)) == rowwise_mass(den, x, x + Fraction(1, 2))
 
 
 def test_sweep_refines_before_summing(monkeypatch):
@@ -113,16 +116,15 @@ def test_sweep_refines_before_summing(monkeypatch):
     # middle of a sweep; every probe then gets the row-by-row answer on the
     # refined prefix
     monkeypatch.setattr(precision, "_EXACT_PATH_CUTOFF", 0)
-    den = ParryDensity(parse_beta("7/5"))
+    den = ParryDensity(parse_beta("7/5"), 1e-9)
     den.density_at(0)
     x = den._orbit[3].midpoint()
     xs = sorted([Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), x])
-    n_terms = den._density_terms(1e-9)
-    pieces = parry._per_probe(den._density_sweep(xs, n_terms))
+    pieces = parry._per_probe(den._density_sweep(xs))
     assert den.digits_required > 13
     pre = den._orbit
-    assert [(lo, hi) for (lo, _), (hi, _) in pieces] == [rowwise_density(den, p, 1e-9) for p in xs]
-    assert den.density_at(x) == rowwise_density(den, x, 1e-9)
+    assert [(lo, hi) for (lo, _), (hi, _) in pieces] == [rowwise_density(den, p) for p in xs]
+    assert den.density_at(x) == rowwise_density(den, x)
     assert den._orbit is pre
 
 
@@ -194,31 +196,31 @@ def test_side_rejects_a_bound_that_is_not_dyadic():
         parry._Side(Fraction(7, 5), 3)
 
 
-def per_term_fourier(den, m, tol):
+def per_term_fourier(den, m):
     """fourier with one Fraction sum per term and per float: the oracle of
     the per-term float table."""
-    pre = den.prefix(den.terms_for(Fraction(tol) * abs(m) / 4))
+    pre = den.prefix(den.terms_for(Fraction(den.tol) * abs(m) / 4))
     two_pi_im = 2j * math.pi * m
     s = 0.0 + 0.0j
     width_err = 0.0
     for n, r in enumerate(pre):
-        w_lo, w_hi = den._weight(n)
+        w_lo, w_hi = weight(den, n)
         w_mid = float((w_lo + w_hi) / 2)
         s += w_mid * (cmath.exp(two_pi_im * float(r)) - 1.0) / two_pi_im
         width_err += w_mid * float(r.width) + float(w_hi - w_lo) / (math.pi * abs(m))
     tail = float(den.tail_bound(len(pre))) / (math.pi * abs(m))
-    z_lo, z_hi = den.normalizer(tol=1e-12)
+    z_lo, z_hi = den._normalizer(Fraction(1e-12))
     z = float((z_lo + z_hi) / 2)
     err = (abs(s) * float(z_hi - z_lo) / float(z_lo) ** 2
            + (tail + width_err + 1e-13 * len(pre)) / float(z_lo))
     return parry.FourierCoefficient(s / z, err)
 
 
-def per_term_knots(den, tol=1e-12):
-    pre = den.prefix(den.terms_for(Fraction(tol)))
+def per_term_knots(den):
+    pre = den.prefix(den.terms_for(Fraction(den.tol)))
     rs = sorted({float(r) for r in pre} | {0.0, 1.0})
     xs = np.array([r for r in rs if 0.0 <= r <= 1.0])
-    w_mid = np.array([float(sum(den._weight(n)) / 2) for n in range(len(pre))])
+    w_mid = np.array([float(sum(weight(den, n)) / 2) for n in range(len(pre))])
     r_mid = np.array([float(r) for r in pre])
     heights = np.array([float(w_mid[r_mid > 0.5 * (xs[j] + xs[j + 1])].sum())
                         for j in range(len(xs) - 1)])
@@ -228,75 +230,96 @@ def per_term_knots(den, tol=1e-12):
 
 def test_term_floats_follow_the_prefix():
     # the same calls on two densities, one read through the per-term float
-    # table and one through the per-term formula, after each event that
-    # replaces the prefix
+    # table and one through the per-term formula, before and after a
+    # refinement replaces the prefix; fourier is read at 1e-10 and the
+    # sampler's knots at 1e-12, each on densities of its own tolerance
     b = parse_beta("2.2")
-    den, ref = ParryDensity(b), ParryDensity(b)
+    den, ref = ParryDensity(b, 1e-10), ParryDensity(b, 1e-10)
+    knots, knots_ref = ParryDensity(b, 1e-12), ParryDensity(b, 1e-12)
 
     def check(*ms):
         for m in ms:
-            assert den.fourier(m, 1e-10) == per_term_fourier(ref, m, 1e-10)
-        (xs, cdf), (want_xs, want_cdf) = den._knots(), per_term_knots(ref)
+            assert den.fourier(m) == per_term_fourier(ref, m)
+        (xs, cdf), (want_xs, want_cdf) = knots._knots(), per_term_knots(knots_ref)
         assert xs.tolist() == want_xs.tolist() and cdf.tolist() == want_cdf.tolist()
         # enclosure widths of about 1e-45 vanish in fourier's error, so the
         # table itself is checked against the current prefix
-        want = []
-        for n, r in enumerate(ref._orbit):
-            w_lo, w_hi = ref._weight(n)
-            want.append((float((w_lo + w_hi) / 2), float(r), float(r.width), float(w_hi - w_lo)))
-        assert den._term_floats(len(den._orbit)) == want
+        for got, want in ((den, ref), (knots, knots_ref)):
+            table = []
+            for n, r in enumerate(want._orbit):
+                w_lo, w_hi = weight(want, n)
+                table.append((float((w_lo + w_hi) / 2), float(r), float(r.width), float(w_hi - w_lo)))
+            assert got._term_floats()[: len(got._orbit)] == table
 
-    # the first call sums a 33-term prefix, then its normalizer(1e-12)
-    # regrows the prefix with new enclosures
+    # fourier(1) sums 33 terms of the constructor's 34-term prefix, then its
+    # normalizer(1e-12) recomputes the prefix at 38 terms, with new enclosures
     assert den.terms_for(Fraction(1e-10) / 4) == 33
-    assert den.fourier(1, 1e-10) == per_term_fourier(ref, 1, 1e-10)
+    assert den.fourier(1) == per_term_fourier(ref, 1)
     assert len(den._orbit) == len(ref._orbit) == 38
     check(1, 2, 8)
     # a probe inside an enclosure refines the prefix
-    x = den._orbit[3].midpoint()
-    assert den._orbit[3].lo < x < den._orbit[3].hi
-    den.density_at(x)
-    ref.density_at(x)
-    assert den.digits_required == ref.digits_required > 13
+    for got, want in ((den, ref), (knots, knots_ref)):
+        x = got._orbit[3].midpoint()
+        assert got._orbit[3].lo < x < got._orbit[3].hi
+        got.density_at(x)
+        want.density_at(x)
+        assert got.digits_required == want.digits_required > 13
     check(1, 2, 8)
 
 
+def test_own_sums_read_the_constructors_prefix():
+    # every sum at the density's own tol reads the prefix the constructor
+    # computed; fourier's normalizer at 1e-12 is the one that outgrows it
+    den = ParryDensity(parse_beta("2.2"), 1e-10)
+    pre = den._orbit
+    den.grid_rows(64)
+    den.normalizer()
+    den.interval_mass(Fraction(1, 5), Fraction(3, 5))
+    den.density_at(Fraction(1, 3))
+    den.sample(100, 0)
+    assert den._orbit is pre and len(pre) == 34
+    den.fourier(1)
+    assert len(den._orbit) == 38
+
+
 def test_integer_base_density_is_lebesgue():
-    den = ParryDensity(parse_beta("2"))
+    den = ParryDensity(parse_beta("2"), 1e-13)
     for x in np.linspace(0, 0.999, 101):
-        lo, hi = den.density_at(Fraction(x).limit_denominator(10**6), tol=1e-13)
+        lo, hi = den.density_at(Fraction(x).limit_denominator(10**6))
         assert abs(float(lo) - 1.0) < 1e-12 and abs(float(hi) - 1.0) < 1e-12
-    z_lo, z_hi = den.normalizer(tol=1e-13)
+    z_lo, z_hi = den.normalizer()
     assert abs(float(z_lo) - 1.0) < 1e-12
 
 
 def test_normalizer_follows_a_recomputed_prefix():
-    # a longer prefix is recomputed from scratch, at other enclosure widths,
-    # so Z at an unchanged tolerance must be summed again
+    # a probe inside an enclosure refines the prefix, which is recomputed
+    # from scratch at other enclosure widths, so Z must be summed again
     b = parse_beta("2.3")
-    den = ParryDensity(b)
-    short = den.normalizer(tol=1e-6)
-    den.density_at(Fraction(1, 3), tol=1e-13)
-    fresh = ParryDensity(b)
-    fresh.density_at(Fraction(1, 3), tol=1e-13)
-    assert den.normalizer(tol=1e-6) == fresh.normalizer(tol=1e-6) != short
+    den = ParryDensity(b, 1e-6)
+    short = den.normalizer()
+    x = den._orbit[3].midpoint()
+    den.density_at(x)
+    assert den.digits_required > 13
+    fresh = ParryDensity(b, 1e-6)
+    fresh.density_at(x)
+    assert den.normalizer() == fresh.normalizer() != short
 
 
 def test_phi_density_is_two_level():
-    den = ParryDensity(PHI)
+    den = ParryDensity(PHI, 1e-12)
     cut = 1 / PHI_F
-    z_lo, z_hi = den.normalizer(tol=1e-12)
+    z_lo, z_hi = den.normalizer()
     assert abs(float((z_lo + z_hi) / 2) - Z_PHI) < 1e-10
     for xf in (0.1, 0.3, 0.5, 0.61, 0.63, 0.8, 0.95):
-        lo, hi = den.density_at(Fraction(xf).limit_denominator(10**9), tol=1e-12)
+        lo, hi = den.density_at(Fraction(xf).limit_denominator(10**9))
         unnormalized = PHI_F if xf < cut else 1.0
         mid = float(lo + hi) / 2
         assert abs(mid - unnormalized) < 1e-10, xf
 
 
 def test_silver_normalizer():
-    den = ParryDensity(SILVER)
-    z_lo, z_hi = den.normalizer(tol=1e-12)
+    den = ParryDensity(SILVER, 1e-12)
+    z_lo, z_hi = den.normalizer()
     assert abs(float((z_lo + z_hi) / 2) - Z_SILVER) < 1e-10
 
 
@@ -305,13 +328,13 @@ def test_density_bounds_hold_everywhere():
     for _ in range(8):
         num = rng.randrange(15, 35)
         b = parse_beta(f"{num}/10")
-        den = ParryDensity(b)
+        den = ParryDensity(b, 1e-9)
         bf = num / 10
         lo_bound = 1 - 1 / bf
         hi_bound = 1 / (1 - 1 / bf)
         for _ in range(50):
             x = Fraction(rng.randrange(0, 10**6), 10**6)
-            lo, hi = den.density_at(x, tol=1e-9)
+            lo, hi = den.density_at(x)
             assert float(hi) >= lo_bound - 1e-9
             assert float(lo) <= hi_bound + 1e-9
 
@@ -320,16 +343,16 @@ def test_interval_mass_is_invariant():
     # mass(T^-1 A) == mass(A): exact transfer-operator fixed point
     rng = random.Random(29)
     for b in (PHI, SILVER, parse_beta("5/2")):
-        den = ParryDensity(b)
+        den = ParryDensity(b, 1e-10)
         for _ in range(40):
             u = Fraction(rng.randrange(0, 10**6), 10**6)
             v = u + Fraction(rng.randrange(1, 10**5), 10**6)
             v = min(v, Fraction(1))
-            m_lo, m_hi = den.interval_mass(u, v, tol=1e-10)
+            m_lo, m_hi = den.interval_mass(u, v)
             pieces = preimage_of_interval(b, u, v)
             p_lo = p_hi = Fraction(0)
             for a, c in pieces:
-                lo, hi = den.interval_mass(a, c, tol=1e-10)
+                lo, hi = den.interval_mass(a, c)
                 p_lo += lo
                 p_hi += hi
             assert float(p_hi) >= float(m_lo) - 1e-8
@@ -363,8 +386,8 @@ def test_preimage_pieces_contain_the_true_preimage():
 
 
 def test_cdf_rows_monotone():
-    den = ParryDensity(PHI)
-    rows = den.grid_rows(256, tol=1e-10)
+    den = ParryDensity(PHI, 1e-10)
+    rows = den.grid_rows(256)
     xs = [r[0] for r in rows]
     cdf = [r[2] for r in rows]
     assert xs == sorted(xs)
@@ -373,19 +396,18 @@ def test_cdf_rows_monotone():
 
 
 def test_fourier_zero_mode_and_decay():
-    den = ParryDensity(PHI)
-    f0 = den.fourier(0)
+    f0 = ParryDensity(PHI, 1e-9).fourier(0)
     assert abs(f0.value - 1.0) < 1e-12
     # coefficients of an absolutely continuous measure with BV density decay
-    small = abs(den.fourier(256, tol=1e-8).value)
-    big = abs(den.fourier(1, tol=1e-10).value)
+    small = abs(ParryDensity(PHI, 1e-8).fourier(256).value)
+    big = abs(ParryDensity(PHI, 1e-10).fourier(1).value)
     assert small < big
 
 
 def test_sampler_matches_interval_mass():
-    den = ParryDensity(SILVER)
-    pts = den.sample(200000, seed=5)
+    pts = ParryDensity(SILVER, 1e-12).sample(200000, seed=5)
     assert ((pts >= 0) & (pts <= 1)).all()
+    den = ParryDensity(SILVER, 1e-9)
     for u, v in ((0.0, 0.25), (0.3, 0.55), (0.7, 1.0)):
         m_lo, m_hi = den.interval_mass(
             Fraction(u).limit_denominator(10**6), Fraction(v).limit_denominator(10**6)
@@ -400,26 +422,26 @@ def test_probe_inside_an_interval_enclosure_refines(monkeypatch):
     # inside such an enclosure refines the prefix like a decimal base does
     b = parse_beta("7/5")
     monkeypatch.setattr(precision, "_EXACT_PATH_CUTOFF", 0)
-    den = ParryDensity(b)
+    den = ParryDensity(b, 1e-9)
     den.density_at(0)
     r3 = den._orbit[3]
     x = r3.midpoint()
     assert r3.exact is None and r3.lo < x < r3.hi
     got = den.density_at(x)
     monkeypatch.undo()
-    assert got == ParryDensity(b).density_at(x)  # the exact path's answer
+    assert got == ParryDensity(b, 1e-9).density_at(x)  # the exact path's answer
 
 
 def test_density_tolerance_drives_enclosure_width():
-    den = ParryDensity(parse_beta("2.3"))
+    b = parse_beta("2.3")
     x = Fraction(1, 3)
-    lo1, hi1 = den.density_at(x, tol=1e-6)
-    lo2, hi2 = den.density_at(x, tol=1e-12)
+    lo1, hi1 = ParryDensity(b, 1e-6).density_at(x)
+    lo2, hi2 = ParryDensity(b, 1e-12).density_at(x)
     assert hi2 - lo2 <= hi1 - lo1
     assert float(hi2 - lo2) < 1e-11
 
 
 def test_interval_mass_rejects_bad_interval():
-    den = ParryDensity(PHI)
+    den = ParryDensity(PHI, 1e-9)
     with pytest.raises(ValueError):
         den.interval_mass(Fraction(1, 2), Fraction(1, 4))

@@ -247,7 +247,7 @@ def test_lemma32_uniform_analytic():
 
 
 def test_lemma32_on_parry_cloud():
-    den = ParryDensity(PHI)
+    den = ParryDensity(PHI, 1e-12)
     res = lemma32_check(den, 0.1, 0.9, 64, 0.1, PHI, cloud_size=20000, seed=3)
     assert res.slack >= -res.quad_error
     assert res.mass_cd < 1.0
@@ -316,7 +316,7 @@ def test_window_sums_match_direct_sum(m, sign, c, width, n, skew, seed, b):
 
 @pytest.mark.parametrize("m, c, d", [(4, 0.0, 1.0), (64, 0.1, 0.9), (1024, 0.3, 0.35)])
 def test_lhs_quadrature_matches_direct_sum(m, c, d):
-    cloud = ParryDensity(PHI).sample(10_000, 11)
+    cloud = ParryDensity(PHI, 1e-12).sample(10_000, 11)
     ys = np.sort(cloud[(cloud >= c) & (cloud <= d)])
     mass = len(ys) / len(cloud)
     bound = (2 * _NUFFT_ERROR + _NUFFT_ERROR**2) * mass**2
@@ -337,7 +337,7 @@ def test_one_spread_keeps_the_finer_pass(m):
     # the 2q nodes reach further out than the q nodes, so the grid shared by
     # both passes is the one the 2q pass spreads alone: its sums keep their
     # bits, and the q pass differs from its own grid's only by NUFFT error
-    ys = np.sort(ParryDensity(PHI).sample(10_000, 5))
+    ys = np.sort(ParryDensity(PHI, 1e-12).sample(10_000, 5))
     q = max(256, min(4 * abs(m), 32768))
     coarse, fine = _window_sums(ys, m, PHI_F, (q, 2 * q))
     assert np.array_equal(fine, _window_sums(ys, m, PHI_F, (2 * q,))[0])
@@ -348,7 +348,7 @@ def test_one_spread_keeps_the_finer_pass(m):
 def test_lemma32_sweep_matches_one_check_per_config():
     # the flags of the benchmark's cli_sweep lemma32 command, seed 0
     ms, rs = (4, 64, 256), (0.05, 0.15)
-    cloud = ParryDensity(PHI).sample(20000, 0)
+    cloud = ParryDensity(PHI, 1e-12).sample(20000, 0)
     swept = lemma32_sweep(cloud, 0.0, 1.0, ms, rs, PHI)
     configs = [(m, r) for m in ms for r in rs]
     assert len(swept) == len(configs)
