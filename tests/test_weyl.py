@@ -146,6 +146,23 @@ def test_phase_kernel_rotation_and_direct_steps():
         assert np.max(np.abs(s - np.sin(phase))) <= _phase_tolerance(m)
 
 
+def test_phase_reduction_has_the_bits_of_np_mod():
+    # _phases reduces m x mod 1 as t - floor(t); weyl_sums takes negative m too
+    xs = np.random.default_rng(5).random(2000)
+    ts = np.concatenate([
+        m * xs for m in (1, 3, 1000, MAX_FREQUENCY, -1, -7, -MAX_FREQUENCY)
+    ] + [np.array([0.0, -0.0, 1.0, -1.0, 5.0, -5.0, 2.0**60, -(2.0**60), 0.5, -0.5,
+                   -(2.0**-60), 2.0**-1074, -(2.0**-1074), 1 - 2.0**-53, -(1 - 2.0**-53)])])
+    want = np.mod(ts, 1.0)
+    got = ts - np.floor(ts)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    xs = np.array([0.0, -0.0, 0.25, 0.3, 0.5, 0.75])
+    ms = [-50, -30, 1, 20]  # gaps above _ROTATION_STEPS: each pair comes direct
+    for m, (c, s) in zip(ms, _phases(xs, ms), strict=True):
+        want = 2 * math.pi * np.mod(m * xs, 1.0)
+        assert np.array_equal(c, np.cos(want)) and np.array_equal(s, np.sin(want))
+
+
 def test_invariance_defect_budget():
     # |S_N(m) - (pushforward)| <= 2/N for every test degree: telescoping bound
     rng = random.Random(31)
