@@ -22,7 +22,9 @@ run a per-step loop.  A point with r steps to go is held at about
 r*log2(b) + 64 guard bits beyond the requested output precision.  An ambiguous
 branch restarts the pass with doubled budget bits, and every working scale
 grows by the bits gained over the first budget, so each restart really
-computes more precisely.
+computes more precisely.  For `tb_orbit_floats` the leaves step in float64
+under an a-priori error bound (`_FloatLeafOrbit`) and rerun the per-step
+loop where that bound cannot certify a digit.
 """
 
 from __future__ import annotations
@@ -385,6 +387,10 @@ class _IntervalOrbit:
         self._sqrt_bits = -1  # isqrt(d << 2 * _sqrt_bits) is _sqrt_root
         self._sqrt_root = 0
 
+    @property
+    def columns(self) -> Columns:
+        return self.los, self.his, self.scales
+
     def scale(self, rem: int) -> int:
         """Working scale of a point with rem steps still to run from it."""
         return min(self.bits, math.ceil(rem * self.log2b_up) + self.slack)
@@ -546,6 +552,100 @@ class _IntervalOrbit:
 
 Columns = tuple[list[int], list[int], list[int]]  # per-step lo and hi mantissas, scale
 
+# Float leaves.  u is float64's unit roundoff.  A chunk starts at the midpoint
+# float of an enclosure at most 2^-63 wide: `_mid_float` lies within 2^-52 of
+# the midpoint, and the midpoint within 2^-64 of every point of the enclosure.
+_U = 2.0**-53
+_START_ERROR = 2.0**-52 + 2.0**-64
+LeafPlan = tuple[float, tuple[float, ...]]  # b~ and the bounds r_1 .. r_L
+
+
+def _float_leaf_plan(b: BetaNumber, digits_required: int, max_steps: int) -> LeafPlan:
+    """(b~, (r_1, .., r_L)): a float b~ near b and error bounds for L float steps.
+
+    Let x~ lie within r_0 = _START_ERROR of x in [0, 1], and step x~ <-
+    fl(b~ x~) mod 1.  While each step keeps the digit floor(b x),
+    |fl(b~ x~) - b x| <= delta + u b_hi + b_hi r_j, where delta >= |b~ - b| and
+    b_hi >= b, b~ (the standard model: Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, sec. 2.2); the factor 1 + 2^-50 covers the
+    rounding of this recurrence itself.  L is the most steps, at most
+    max_steps, with r_L <= 10^-digits_required / 2.
+    """
+    # int / int is correctly rounded; each bound steps one float outward
+    lo, hi = b.scaled_bounds(128)
+    b_float = (lo + hi) / (1 << 129)
+    mid = int(b_float * (1 << 128))  # exact: b~ is a multiple of 2^-128
+    delta = math.nextafter(max(hi - mid, mid - lo) / (1 << 128), math.inf)
+    b_hi = math.nextafter(max(hi, mid) / (1 << 128), math.inf)
+    target = math.nextafter(1 / (2 * 10**digits_required), 0.0)
+    bounds = []
+    r = _START_ERROR
+    for _ in range(max_steps):
+        r = (delta + _U * b_hi + b_hi * r) * (1 + 2.0**-50)
+        if r > target:
+            break
+        bounds.append(r)
+    return b_float, tuple(bounds)
+
+
+class _FloatLeafOrbit(_IntervalOrbit):
+    """The interval engine with float leaves, behind `tb_orbit_floats`.
+
+    A leaf runs in chunks of at most L steps, L the length of the plan's
+    bounds.  A chunk starts at the midpoint float of its certified enclosure
+    and iterates x~ <- fl(b~ x~) mod 1.  It accepts the digit k = floor(fl(b~
+    x~)) only when the new fractional part f satisfies r_j <= f and
+    f + r_j < 1, which puts b x in [k, k + 1).  The bounds hold for every
+    point of the enclosure, so every point shares the chunk's digits and the
+    exact `_jump` over them encloses the next chunk's start.  If a check
+    fails, the whole leaf reruns the integer `_steps` and takes its truncated
+    midpoints.  The columns hold those points only, so the width check sees
+    them; a float-leaf point is within r_j <= 10^-digits / 2 by construction.
+    A segment longer than _BASE_STEPS, which `run` leaves whole because the
+    base's jump integers are long (_JUMP_SIZE_RATIO), keeps the integer loop
+    and its truncated midpoints.
+    """
+
+    def __init__(self, b: BetaNumber, bits: int, slack: int, log2b_up: float, plan: LeafPlan):
+        super().__init__(b, bits, slack, log2b_up)
+        self.b_float, self.bounds = plan
+        self.floats: list[float] = []
+
+    def _steps(self, x_lo: int, x_hi: int, s: int, n: int) -> None:
+        first = len(self.digits)
+        if n <= _BASE_STEPS and self.bounds and self._float_chunks(x_lo, x_hi, s, n):
+            return
+        del self.digits[first:], self.floats[first:]
+        mark = len(self.los)
+        super()._steps(x_lo, x_hi, s, n)
+        leaf = self.los[mark:], self.his[mark:], self.scales[mark:]
+        self.floats += _midpoint_floats(leaf).tolist()
+
+    def _float_chunks(self, x_lo: int, x_hi: int, s: int, n: int) -> bool:
+        """Run n steps from [x_lo, x_hi]/2^s in float chunks; False at the
+        first digit or start that the bounds cannot certify."""
+        b_float, bounds, digits, floats = self.b_float, self.bounds, self.digits, self.floats
+        done = 0
+        while True:
+            if (x_hi - x_lo) >> (s - 63):  # wider than _START_ERROR allows
+                return False
+            x = _mid_float(x_lo, x_hi, s)
+            c = min(len(bounds), n - done)
+            for r in bounds[:c]:
+                p = b_float * x
+                k = int(p)
+                x = p - k  # exact
+                if x < r or x + r >= 1.0:
+                    return False
+                digits.append(k)
+                floats.append(x)
+            done += c
+            if done == n:
+                return True
+            s2 = self.scale(n - done)
+            x_lo, x_hi = self._jump(x_lo, x_hi, s, self._block(digits[-c:]), s2)
+            s = s2
+
 
 def _interval_orbit_attempt(
     b: BetaNumber,
@@ -556,19 +656,26 @@ def _interval_orbit_attempt(
     width_bits: int,
     log2b_up: float,
     guard: int,
-) -> tuple[Columns, list[int]]:
-    """One fixed-budget interval pass.
+    leaf_plan: LeafPlan | None,
+) -> _IntervalOrbit:
+    """One fixed-budget interval pass; returns the finished engine, or raises
+    AmbiguousBranch.
 
-    Returns the columns (lo mantissas, hi mantissas, scales) of the points
-    [lo, hi]/2^scale plus the digits, or raises AmbiguousBranch.  A point with
-    r steps to go is held at scale min(bits, r*log2(b) + width_bits + 64 +
-    guard), which keeps the big-integer products near the minimum needed
-    size; guard is what a restart adds.
+    The engine's columns (lo mantissas, hi mantissas, scales) give the points
+    [lo, hi]/2^scale, and its digits the digits.  With a `_float_leaf_plan`
+    the engine is a `_FloatLeafOrbit`, whose floats give every point.  A
+    point with r steps to go is held at scale min(bits, r*log2(b) +
+    width_bits + 64 + guard), which keeps the big-integer products near the
+    minimum needed size; guard is what a restart adds.
     """
-    engine = _IntervalOrbit(b, bits, width_bits + 64 + guard, log2b_up)
+    slack = width_bits + 64 + guard
+    if leaf_plan is None:
+        engine = _IntervalOrbit(b, bits, slack, log2b_up)
+    else:
+        engine = _FloatLeafOrbit(b, bits, slack, log2b_up, leaf_plan)
     s = engine.scale(n_steps)
     engine.run(scaled_floor(lo0, s), scaled_ceil(hi0, s), s, n_steps, need_block=False)
-    return (engine.los, engine.his, engine.scales), engine.digits
+    return engine
 
 
 def _width_ok(columns: Columns, digits_required: int) -> bool:
@@ -591,11 +698,13 @@ def _certified_orbit(
     digits_required: int,
     method: str,
     exact_cutoff: int,
-) -> tuple[Columns | None, list[Enclosure] | None, list[int], int]:
+    leaf_plan: LeafPlan | None,
+) -> tuple[_IntervalOrbit | None, list[Enclosure] | None, list[int], int]:
     """The restart driver behind every orbit entry point.
 
-    Returns (columns, points, digits, bits_used): columns from the interval
-    path, or points from the exact path (bits_used 0); the other is None.
+    Returns (engine, points, digits, bits_used): the finished engine of the
+    interval path, or points from the exact path (bits_used 0); the other is
+    None.  leaf_plan is passed to every interval pass.
     method "auto" takes the exact path first when n_steps <= exact_cutoff.
     Each restart doubles the budget bits and widens every working scale by the
     bits gained over the initial budget.
@@ -622,11 +731,12 @@ def _certified_orbit(
     bits = budget.initial_bits
     while True:
         try:
-            columns, digits = _interval_orbit_attempt(
-                b, lo0, hi0, n_steps, bits, out_bits, log2b_up, bits - budget.initial_bits
+            engine = _interval_orbit_attempt(
+                b, lo0, hi0, n_steps, bits, out_bits, log2b_up, bits - budget.initial_bits,
+                leaf_plan,
             )
-            if _width_ok(columns, digits_required):
-                return columns, None, digits, bits
+            if _width_ok(engine.columns, digits_required):
+                return engine, None, engine.digits, bits
         except AmbiguousBranch:
             if exact_possible and method != "interval":
                 points, digits = _exact_orbit(b_exact, seed_exact, n_steps, out_bits)
@@ -653,11 +763,11 @@ def orbit_with_digits(
     doubled precision on ambiguity); "exact" requires an exact backing.
     Returns (points, digits, bits_used); bits_used is 0 on the exact path.
     """
-    columns, points, digits, bits = _certified_orbit(
-        b, x0, n_steps, digits_required, method, _EXACT_PATH_CUTOFF
+    engine, points, digits, bits = _certified_orbit(
+        b, x0, n_steps, digits_required, method, _EXACT_PATH_CUTOFF, None
     )
     if points is None:
-        points = _column_enclosures(columns)
+        points = _column_enclosures(engine.columns)
     return points, digits, bits
 
 
@@ -678,17 +788,20 @@ def tb_orbit_floats(
     n_steps: int,
     digits_required: int = 9,
 ) -> np.ndarray:
-    """Orbit midpoints as floats (certified to ~10^-digits_required each).
+    """Orbit points as floats (certified to ~10^-digits_required each).
 
-    Interval engine without Fraction wrapping; falls back to the exact path if
-    a branch stays ambiguous and an exact backing exists.
+    The interval engine with float leaves (`_FloatLeafOrbit`): each float is
+    within 10^-digits_required / 2 of its point, in chunks of L steps
+    certified a priori (28 for phi at 9 digits).  A leaf whose digits the
+    float bound cannot certify, or a segment on the per-step loop, gives its
+    enclosures' truncated midpoints.  Falls back to the exact path if a
+    branch stays ambiguous and an exact backing exists.
     """
-    columns, points, _, _ = _certified_orbit(
-        b, x0, n_steps, digits_required, "auto", exact_cutoff=0
-    )
-    if columns is None:
+    plan = _float_leaf_plan(b, digits_required, min(n_steps, _BASE_STEPS))
+    engine, points, _, _ = _certified_orbit(b, x0, n_steps, digits_required, "auto", 0, plan)
+    if engine is None:
         return np.array([float(p) for p in points])
-    return _midpoint_floats(columns)
+    return np.array(engine.floats)
 
 
 def _mid_float(lo: int, hi: int, s: int) -> float:

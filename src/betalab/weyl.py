@@ -1,11 +1,13 @@
 """Weyl sums along certified orbits and the decay experiments built on them.
 
-S_N(m) = (1/N) sum_{i<N} e(m T^i x0) with orbit points accurate to 1e-9, so
-phase errors stay below ~1e-5 even at |m| ~ 1000.  The limsup over N that the
-mean-decay statements speak about is not computable; the proxy used
-everywhere is max |S_N'(m)| over the tail checkpoints {N/4, N/2, N}, biased
-upward and therefore conservative for decay claims.  alpha/beta are reserved
-for the mass exponents.
+S_N(m) = (1/N) sum_{i<N} e(m T^i x0) over the floats of `tb_orbit_floats`,
+each certified within 10^-9 / 2 of its orbit point (float steps under an
+a-priori error bound, re-anchored exactly every 28 steps for phi), so phase
+errors 2 pi |m| 5e-10 stay below ~3e-6 even at |m| ~ 1000.  The limsup over
+N that the mean-decay statements speak about is not computable; the proxy
+used everywhere is max |S_N'(m)| over the tail checkpoints {N/4, N/2, N},
+biased upward and therefore conservative for decay claims.  alpha/beta are
+reserved for the mass exponents.
 
 Every orbit sum (`weyl_sums`, the decay samples, `invariance_defects`) takes
 its phases from one kernel, `_phases`, in real arithmetic only.  For
@@ -62,13 +64,17 @@ def _primitive_base(n: int) -> int:
 
 
 def multiplicatively_independent(b: BetaNumber, a: int) -> bool | None:
-    """True/False when decidable (rational b, or a pure surd v*sqrt(d), vs
-    integer a), None when the caller has to assert it (u + v*sqrt(d) with
-    u != 0, or decimal b)."""
+    """True/False when decidable (rational or quadratic b vs integer a), None
+    when the caller has to assert it (decimal b)."""
     if a < 2:
         raise ValueError("alphabet size must be >= 2")
     v = b.exact_value()
-    if b.kind == "quadratic" and v.u == 0:
+    if b.kind == "quadratic":
+        if v.u != 0:
+            # if (u + v sqrt d)^k were rational, so would the conjugate's power
+            # be, and equal: (b/b')^k = 1 forces b/b' = +-1, so u = 0 or v = 0;
+            # hence no power of b is rational, let alone a power of a
+            return True
         # odd powers of v*sqrt(d) are irrational, so b^s = a^t needs s even:
         # b and a are dependent iff the rational b^2 = v^2 d and a are
         v = v.v * v.v * v.d

@@ -506,12 +506,12 @@ def test_write_json_refuses_non_finite_values(tmp_path):
 # deliberate change of decay's numbers.
 DECAY_PINS = {
     "iid": {
-        "decay.json": "153d3d6160ed0094780833305d4f4b7f5d596373b16168029e20b2004136c1cb",
-        "decay.csv": "a7bc63397c68feade0dcdd9abc0aba33221c3f399582f19b5ebd007af515cf85",
+        "decay.json": "77c2deafe8e349703959ec8cf7109c44f8e24cf6a493a129d10afb9c4aaa40d2",
+        "decay.csv": "572c5fb466a522a89221b4731a85538ba1bdf464de17b68ffe441b316b844508",
     },
     "markov": {
-        "decay.json": "02de4176a39807c62085b6eea9f9c31e881b853ea060d6f0e0f131bb30a05cb4",
-        "decay.csv": "f058eae77fdcd86e7d0974f3c183c4748eefc8130b784eb6d0a964741bfd40ac",
+        "decay.json": "09044460f575315109b0ad49b7b3d181085bfede98e42904c8afb86e444a7db6",
+        "decay.csv": "420851186c0b68978b2aa8a46d4265cc16538e5171f21ccee1a6d09890c9e0d8",
     },
 }
 

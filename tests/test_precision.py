@@ -255,6 +255,15 @@ def _contains(p: Enclosure, value) -> bool:
     return p.lo <= value <= p.hi
 
 
+def _within_half_digit(floats, exact, digits) -> bool:
+    """Every float lies within 10^-digits / 2 of its exact point."""
+    half = Fraction(1, 2 * 10**digits)
+    return len(floats) == len(exact) and all(
+        _contains(Enclosure(Fraction(f) - half, Fraction(f) + half), e)
+        for f, e in zip(floats, exact)
+    )
+
+
 def _interval_orbit(b, x, n, base_steps):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(precision, "_BASE_STEPS", base_steps)
@@ -281,7 +290,7 @@ def test_divide_and_conquer_matches_per_step_loop(desc, q, p_frac, n):
     assert digs_dc == digs_loop == exact_digits
     assert all(_contains(p, e) for p, e in zip(pts_dc, exact))
     assert all(_contains(p, e) for p, e in zip(pts_loop, exact))
-    assert all(abs(a - c) <= 2**-50 for a, c in zip(fl_dc, fl_loop))
+    assert _within_half_digit(fl_dc, exact, 9) and _within_half_digit(fl_loop, exact, 9)
 
 
 # -- the step loop and the midpoint floats against their defining formulas -------
@@ -334,9 +343,10 @@ def _attempt(b, x, n, restarts):
     bits = initial << restarts
     out_bits = math.ceil(12 * math.log2(10)) + 4
     try:
-        return precision._interval_orbit_attempt(
-            b, x, x, n, bits, out_bits, log2b_up, bits - initial
+        engine = precision._interval_orbit_attempt(
+            b, x, x, n, bits, out_bits, log2b_up, bits - initial, None
         )
+        return engine.columns, engine.digits
     except precision.AmbiguousBranch:
         return "ambiguous"
 
@@ -388,10 +398,90 @@ def _mid_float(lo, hi, s):
 
 @pytest.mark.parametrize("desc", [PHI, "5/2", "2.2", "2." + "3" * 60])
 def test_orbit_floats_are_the_truncated_midpoints(desc):
+    # float leaves give floats within 10^-9 / 2 of the points; the 60-digit
+    # base keeps the per-step loop (_JUMP_SIZE_RATIO) and its truncated midpoints
     b, x, n = parse_beta(desc), Fraction(12345, 99991), 700
-    columns, points, _, _ = precision._certified_orbit(b, x, n, 9, "auto", exact_cutoff=0)
-    assert points is None
-    want = [_mid_float(*t).hex() for t in zip(*columns)]
+    floats = tb_orbit_floats(b, x, n)
+    if len(desc) < 60:
+        assert _within_half_digit(floats, _exact_points(b, x, n)[1], 9)
+    else:
+        engine, points, _, _ = precision._certified_orbit(b, x, n, 9, "auto", 0, None)
+        assert points is None
+        want = [_mid_float(*t).hex() for t in zip(*engine.columns)]
+        assert [f.hex() for f in floats] == want
+
+
+# -- float leaves against an mpmath orbit and the per-step oracle ----------------
+
+
+def _float_orbit(b, x, n):
+    """Digits and floats of the interval pass with float leaves, as
+    tb_orbit_floats runs it at 9 digits."""
+    plan = precision._float_leaf_plan(b, 9, min(n, precision._BASE_STEPS))
+    return precision._certified_orbit(b, x, n, 9, "auto", 0, plan)
+
+
+def _mpmath_orbit(b, x: Fraction, n: int) -> list:
+    """T^1 x .. T^n x in mpmath, at n*log2(b) + 200 bits: 60 digits are left
+    at the last step."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(math.ceil(n * b.log2_upper()) + 200):
+        value = b._value
+        if isinstance(value, Quadratic):
+            bm = mpmath.mpf(value.u.numerator) / value.u.denominator + (
+                mpmath.mpf(value.v.numerator) / value.v.denominator * mpmath.sqrt(value.d))
+        else:
+            bm = mpmath.mpf(value.numerator) / value.denominator
+        y, out = mpmath.mpf(x.numerator) / x.denominator, []
+        for _ in range(n):
+            y = bm * y
+            y -= mpmath.floor(y)
+            out.append(y)
+    return out
+
+
+@st.composite
+def _float_leaf_bases(draw):
+    if draw(st.booleans()):
+        return draw(st.sampled_from((PHI, "5/2", "2.2", "7")))
+    q = draw(st.integers(1, 40))
+    return f"{draw(st.integers(q + 1, 8 * q))}/{q}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    desc=_float_leaf_bases(),
+    q=st.integers(2, 10**6),
+    p_frac=st.floats(0, 1, exclude_max=True),
+    n=st.integers(1, 600),
+)
+def test_float_leaves_are_within_half_a_digit_of_an_mpmath_orbit(desc, q, p_frac, n):
+    b = parse_beta(desc)
+    x = Fraction(int(p_frac * q), q)
+    floats = tb_orbit_floats(b, x, n)
+    ref = _mpmath_orbit(b, x, n)
+    assert all(abs(f - y) <= 5e-10 for f, y in zip(floats, ref, strict=True))
+    _, _, digits, _ = _float_orbit(b, x, n)
+    assert digits == _exact_points(b, x, n)[0]
+
+
+@pytest.mark.parametrize("x", [Fraction(1, 2**10) + Fraction(3, 2**53),
+                               Fraction(1, 2**9) - Fraction(3, 2**53)], ids=["above", "below"])
+def test_a_near_cut_leaf_takes_the_integer_loop(x):
+    # b x_9 = 1 + 3 * 2^-43, or 2 - 3 * 2^-43, for b = 2.  The float steps are
+    # exact, but the a-priori bound at step 10, r_10 = 4.5e-13, does not
+    # clear the cut, so the leaf reruns the integer loop and gives what the
+    # per-step oracle gives.  Without the start error r_0 (2.3e-13) or the
+    # b_hi r_j term (6.7e-16), r_10 would fall below 3 * 2^-43 and the digit
+    # would pass.
+    b, n = parse_beta("2"), 40
+    engine, points, digits, _ = _float_orbit(b, x, n)
+    assert points is None and len(engine.los) == n  # every point from the integer loop
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(precision, "_IntervalOrbit", _PerStepOracle)
+        oracle, _, oracle_digits, _ = precision._certified_orbit(b, x, n, 9, "interval", 0, None)
+    assert digits == oracle_digits and digits[9] == 1
+    want = [_mid_float(*t).hex() for t in zip(*oracle.columns)]
     assert [f.hex() for f in tb_orbit_floats(b, x, n)] == want
 
 
@@ -452,7 +542,8 @@ def test_vectorised_midpoints_at_their_edges(s):
 
 def test_width_check_rejects_a_forced_wide_point():
     b, x, n, d = parse_beta(PHI), Fraction(12345, 99991), 700, 9
-    columns, points, _, _ = precision._certified_orbit(b, x, n, d, "auto", exact_cutoff=0)
+    engine, points, _, _ = precision._certified_orbit(b, x, n, d, "auto", 0, None)
+    columns = engine.columns
     assert points is None and precision._width_ok(columns, d)
     los, his, scales = columns
     i = 417

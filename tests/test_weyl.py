@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from betalab.exactnum import Quadratic
 from betalab.parry import ParryDensity
 from betalab.precision import parse_beta
 from betalab.sources import iid_source
@@ -180,7 +181,7 @@ def test_multiplicative_independence():
     assert multiplicatively_independent(parse_beta("2"), 3) is True
     assert multiplicatively_independent(parse_beta("6"), 12) is True
     assert multiplicatively_independent(parse_beta("3/2"), 2) is True
-    assert multiplicatively_independent(PHI, 2) is None
+    assert multiplicatively_independent(PHI, 2) is True
 
 
 def test_pure_surd_independence_matches_brute_force_powers():
@@ -200,6 +201,23 @@ def test_pure_surd_independence_matches_brute_force_powers():
             for a in range(2, 13):
                 witness = any(p.v == 0 and p.u == a**t for p in powers for t in range(1, 13))
                 assert multiplicatively_independent(b, a) is (not witness), (str(b), a)
+
+
+def test_quadratic_with_a_rational_part_has_no_rational_power():
+    # b = u + v*sqrt(d), u and v nonzero: no b^k (k <= 12) is rational, so b
+    # is independent of every integer a
+    for d in (2, 3, 5, 13):
+        for u in (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(3, 2)):
+            for v in (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2), Fraction(2, 3)):
+                q = Quadratic(u, v, d)
+                power = q
+                for _ in range(12):
+                    assert power.v != 0, (u, v, d)
+                    power = power * q
+                if u > 0 and q > 1:  # the descriptor grammar takes u >= 0 only
+                    b = parse_beta(f"({u}{'+' if v > 0 else '-'}{abs(v)}*sqrt{d})")
+                    assert b.exact_value() == q
+                    assert all(multiplicatively_independent(b, a) is True for a in range(2, 13))
 
 
 # -- rate formula ------------------------------------------------------------------
@@ -388,7 +406,7 @@ def test_mean_decay_profile_shape():
     )
     assert prof.values[0] == 1.0
     assert all(0 <= v <= 1 for v in prof.values.values())
-    assert prof.independence == "asserted"
+    assert prof.independence == "verified"
     assert prof.checkpoints == (200, 400, 800)
 
 
