@@ -563,8 +563,8 @@ LeafPlan = tuple[float, tuple[float, ...]]  # b~ and the bounds r_1 .. r_L
 def _float_leaf_plan(b: BetaNumber, digits_required: int, max_steps: int) -> LeafPlan:
     """(b~, (r_1, .., r_L)): a float b~ near b and error bounds for L float steps.
 
-    Let x~ lie within r_0 = _START_ERROR of x in [0, 1], and step x~ <-
-    fl(b~ x~) mod 1.  While each step keeps the digit floor(b x),
+    Let x~ in [0, 1] lie within r_0 = _START_ERROR of x in [0, 1], and step
+    x~ <- fl(b~ x~) mod 1.  While each step keeps the digit floor(b x),
     |fl(b~ x~) - b x| <= delta + u b_hi + b_hi r_j, where delta >= |b~ - b| and
     b_hi >= b, b~ (the standard model: Higham, Accuracy and Stability of
     Numerical Algorithms, 2002, sec. 2.2); the factor 1 + 2^-50 covers the

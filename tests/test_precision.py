@@ -458,11 +458,15 @@ def _float_leaf_bases(draw):
 def test_float_leaves_are_within_half_a_digit_of_an_mpmath_orbit(desc, q, p_frac, n):
     b = parse_beta(desc)
     x = Fraction(int(p_frac * q), q)
+    exact_digits, exact = _exact_points(b, x, n)
+    # a point exactly on a cut has no interval certificate, and mpmath's
+    # rounded product may floor it to the other side
+    assume(all(e != 0 for e in exact))
     floats = tb_orbit_floats(b, x, n)
     ref = _mpmath_orbit(b, x, n)
     assert all(abs(f - y) <= 5e-10 for f, y in zip(floats, ref, strict=True))
     _, _, digits, _ = _float_orbit(b, x, n)
-    assert digits == _exact_points(b, x, n)[0]
+    assert digits == exact_digits
 
 
 @pytest.mark.parametrize("x", [Fraction(1, 2**10) + Fraction(3, 2**53),
