@@ -790,11 +790,12 @@ def tb_orbit_floats(
 ) -> np.ndarray:
     """Orbit points as floats (certified to ~10^-digits_required each).
 
-    The interval engine with float leaves (`_FloatLeafOrbit`): each float is
-    within 10^-digits_required / 2 of its point, in chunks of L steps
-    certified a priori (28 for phi at 9 digits).  A leaf whose digits the
-    float bound cannot certify, or a segment on the per-step loop, gives its
-    enclosures' truncated midpoints.  Falls back to the exact path if a
+    The interval engine with float leaves (`_FloatLeafOrbit`): a float-leaf
+    point is within 10^-digits_required / 2 of the orbit, in chunks of L
+    steps certified a priori (28 for phi at 9 digits).  A leaf whose digits
+    the float bound cannot certify, a segment on the per-step loop, and every
+    leaf when no step fits under the bound give their enclosures' truncated
+    midpoints.  Falls back to the exact path if a
     branch stays ambiguous and an exact backing exists.
     """
     plan = _float_leaf_plan(b, digits_required, min(n_steps, _BASE_STEPS))
