@@ -10,8 +10,9 @@ of silently guessing.
 
 Exact numbers have one grammar, `parse_exact`, used for bases and points
 alike; `parse_beta` adds decimal-literal bases ("@bits" precision requests) and
-the check b > 1.  A `Quadratic` compares, floors and multiplies as a `Fraction`
-does, so exact values need no per-type branches.
+the checks that b exceeds 1 and rounds to a finite float.  A `Quadratic`
+compares, floors and multiplies as a `Fraction` does, so exact values need no
+per-type branches.
 
 The interval engine treats greedy digits as a radix conversion and divides and
 conquers (Brent & Zimmermann, Modern Computer Arithmetic, 2010, sec. 1.7): it
@@ -33,8 +34,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
-from operator import add, gt, mul, rshift, sub
+from operator import gt, mul, sub
 
 import numpy as np
 
@@ -225,13 +225,18 @@ def parse_exact(text: str) -> ExactValue:
 def parse_beta(text: str) -> BetaNumber:
     """Parse a base descriptor: the parse_exact grammar, where a decimal
     literal becomes a "bigfloat" base held at DEFAULT_DECIMAL_BITS or at an
-    "@bits" precision request.  The value must exceed 1.
+    "@bits" precision request.  The value must exceed 1 and round to a
+    finite float.
     """
     s = text.strip()
     literal = _DEC_RE.match(s)
     value = Fraction(literal.group(1)) if literal else parse_exact(s)
     if value <= 1:
         raise DescriptorError(f"base must exceed 1, got {s!r}")
+    try:
+        float(value)  # float code downstream reads b as a float
+    except OverflowError:
+        raise DescriptorError(f"base {s!r} is too large for a float") from None
     bits = DEFAULT_DECIMAL_BITS
     if literal:
         bits = int(literal.group(2) or bits)
@@ -383,7 +388,6 @@ class _IntervalOrbit:
         self.scales: list[int] = []
         self.digits: list[int] = []
         self._terms: dict[int, tuple] = {}  # segment length -> _block's table
-        self._schedules: dict[tuple[int, int], tuple] = {}  # (s, n) -> _schedule's table
         self._sqrt_bits = -1  # isqrt(d << 2 * _sqrt_bits) is _sqrt_root
         self._sqrt_root = 0
 
@@ -414,10 +418,8 @@ class _IntervalOrbit:
         tail = self.run(y_lo, y_hi, s2, n - h, need_block)
         return self._combine(head, tail) if need_block else None
 
-    def _schedule(self, s: int, n: int):
-        """The per-step loop's table for n steps from scale s: one row
-        (b_lo, b_hi, s, -2^s, drop) per step, and the scale of each step's
-        output, which is s less drop.
+    def _steps(self, x_lo: int, x_hi: int, s: int, n: int) -> None:
+        """The per-step loop: one outward-rounded product per step.
 
         b is rounded to the segment's starting scale once and then shifted
         along with the point whenever the scale drops.  floor(floor(y/2^i)/2^j)
@@ -426,55 +428,34 @@ class _IntervalOrbit:
         at the new scale: the integers of rounding afresh at every step.
         The next scale is `scale(rem)` without its cap at bits: s never
         exceeds bits, so wherever the cap applies there is no drop either way.
-        The table depends only on (s, n), so leaves of one length share it.
         """
-        table = self._schedules.get((s, n))
-        if table is None:
-            shift = self.bits - s
-            b_lo = self.b_lo_full >> shift
-            b_hi = -((-self.b_hi_full) >> shift)
-            rows, out_scales = [], []
-            start = s
-            for rem in range(n - 1, -1, -1):
-                s_next = math.ceil(rem * self.log2b_up) + self.slack
-                drop = s - s_next if s_next < s else 0
-                rows.append((b_lo, b_hi, s, -(1 << s), drop))
-                if drop:
-                    b_lo >>= drop
-                    b_hi = -((-b_hi) >> drop)
-                    s = s_next
-                out_scales.append(s)
-            table = self._schedules[(start, n)] = (rows, out_scales)
-        return table
-
-    def _steps(self, x_lo: int, x_hi: int, s: int, n: int) -> None:
-        """The per-step loop: one outward-rounded product per step.
-
-        Runs on the negated upper end nh = -x_hi, so the ceilings
-        -((-y) >> s) are plain floors: -ceil(x_hi b_hi / 2^s) = (nh b_hi) >> s.
-        A step is ambiguous when y_hi >= (k + 1) 2^s, that is when the new
-        nh = k 2^s - y_hi is at most -2^s.
-        """
-        rows, out_scales = self._schedule(s, n)
-        lo_append, hi_append, digit_append = self.los.append, self.his.append, self.digits.append
-        nh = -x_hi
-        for b_lo, b_hi, s, neg_one, drop in rows:
+        shift = self.bits - s
+        b_lo = self.b_lo_full >> shift
+        b_hi = -((-self.b_hi_full) >> shift)
+        ceil, log2b_up, slack = math.ceil, self.log2b_up, self.slack
+        los, his, scales, digits = self.los, self.his, self.scales, self.digits
+        for rem in range(n - 1, -1, -1):
             y_lo = (x_lo * b_lo) >> s
+            y_hi = -((-(x_hi * b_hi)) >> s)
             k = y_lo >> s
-            ks = k << s
-            nh = ((nh * b_hi) >> s) + ks
-            if nh <= neg_one:
+            if y_hi >> s != k:
                 raise AmbiguousBranch(
-                    f"step {len(self.digits)}: enclosure straddles an integer at {self.bits} bits"
+                    f"step {len(digits)}: enclosure straddles an integer at {self.bits} bits"
                 )
-            x_lo = y_lo - ks
-            if drop:
+            x_lo = y_lo - (k << s)
+            x_hi = y_hi - (k << s)
+            s_next = ceil(rem * log2b_up) + slack
+            if s_next < s:
+                drop = s - s_next
                 x_lo >>= drop
-                nh >>= drop
-            lo_append(x_lo)
-            hi_append(-nh)
-            digit_append(k)
-        self.scales += out_scales
+                x_hi = -((-x_hi) >> drop)
+                b_lo >>= drop
+                b_hi = -((-b_hi) >> drop)
+                s = s_next
+            los.append(x_lo)
+            his.append(x_hi)
+            scales.append(s)
+            digits.append(k)
 
     def _block(self, digits: list[int]):
         """(beta^n, w^n, N) for a run of n digits, N = sum_k d_k t_k with the
@@ -560,7 +541,7 @@ _START_ERROR = 2.0**-52 + 2.0**-64
 LeafPlan = tuple[float, tuple[float, ...]]  # b~ and the bounds r_1 .. r_L
 
 
-def _float_leaf_plan(b: BetaNumber, digits_required: int, max_steps: int) -> LeafPlan:
+def _float_leaf_plan(b: BetaNumber, digits_required: int) -> LeafPlan:
     """(b~, (r_1, .., r_L)): a float b~ near b and error bounds for L float steps.
 
     Let x~ in [0, 1] lie within r_0 = _START_ERROR of x in [0, 1], and step
@@ -569,7 +550,7 @@ def _float_leaf_plan(b: BetaNumber, digits_required: int, max_steps: int) -> Lea
     b_hi >= b, b~ (the standard model: Higham, Accuracy and Stability of
     Numerical Algorithms, 2002, sec. 2.2); the factor 1 + 2^-50 covers the
     rounding of this recurrence itself.  L is the most steps, at most
-    max_steps, with r_L <= 10^-digits_required / 2.
+    _BASE_STEPS, with r_L <= 10^-digits_required / 2.
     """
     # int / int is correctly rounded; each bound steps one float outward
     lo, hi = b.scaled_bounds(128)
@@ -580,12 +561,20 @@ def _float_leaf_plan(b: BetaNumber, digits_required: int, max_steps: int) -> Lea
     target = math.nextafter(1 / (2 * 10**digits_required), 0.0)
     bounds = []
     r = _START_ERROR
-    for _ in range(max_steps):
+    for _ in range(_BASE_STEPS):
         r = (delta + _U * b_hi + b_hi * r) * (1 + 2.0**-50)
         if r > target:
             break
         bounds.append(r)
     return b_float, tuple(bounds)
+
+
+def _mid_float(lo: int, hi: int, s: int) -> float:
+    """The midpoint (lo + hi) / 2^(s+1), truncated to 56 bits before the
+    float conversion."""
+    tot = lo + hi
+    shift = max(0, tot.bit_length() - 56)
+    return math.ldexp(float(tot >> shift), shift - s - 1)
 
 
 class _FloatLeafOrbit(_IntervalOrbit):
@@ -618,8 +607,7 @@ class _FloatLeafOrbit(_IntervalOrbit):
         del self.digits[first:], self.floats[first:]
         mark = len(self.los)
         super()._steps(x_lo, x_hi, s, n)
-        leaf = self.los[mark:], self.his[mark:], self.scales[mark:]
-        self.floats += _midpoint_floats(leaf).tolist()
+        self.floats += map(_mid_float, self.los[mark:], self.his[mark:], self.scales[mark:])
 
     def _float_chunks(self, x_lo: int, x_hi: int, s: int, n: int) -> bool:
         """Run n steps from [x_lo, x_hi]/2^s in float chunks; False at the
@@ -798,49 +786,8 @@ def tb_orbit_floats(
     midpoints.  Falls back to the exact path if a
     branch stays ambiguous and an exact backing exists.
     """
-    plan = _float_leaf_plan(b, digits_required, min(n_steps, _BASE_STEPS))
+    plan = _float_leaf_plan(b, digits_required)
     engine, points, _, _ = _certified_orbit(b, x0, n_steps, digits_required, "auto", 0, plan)
     if engine is None:
         return np.array([float(p) for p in points])
     return np.array(engine.floats)
-
-
-def _mid_float(lo: int, hi: int, s: int) -> float:
-    """The midpoint (lo + hi) / 2^(s+1), truncated to 56 bits before the
-    float conversion."""
-    tot = lo + hi
-    shift = max(0, tot.bit_length() - 56)
-    return math.ldexp(float(tot >> shift), shift - s - 1)
-
-
-_TOPS = np.array([1 << e for e in range(56, 64)], dtype=np.uint64)  # 2^56 .. 2^63
-
-
-def _midpoint_floats(columns: Columns) -> np.ndarray:
-    """`_mid_float` of every point, with the per-point work on arrays.
-
-    m = (lo + hi) >> (s - 62) < 2^63, as lo < 2^s and hi <= 2^s.  Where
-    m >= 2^55 its bit length L is 56 + the number of 2^56 .. 2^63 at most m,
-    and the 56-bit truncation of lo + hi is m >> (L - 56).  That value is
-    converted as two 28-bit halves, each exact in a float, whose sum rounds
-    once to nearest even, as float(int) does; numpy casts only the halves, so
-    its int-to-float rounding, which may follow the SIMD dispatch, never
-    applies.  Scaling by 2^(L - 119) is exact.  The few points with m < 2^55
-    (x below about 2^-8) take `_mid_float` itself.
-    """
-    los, his, scales = columns
-    m = np.fromiter(
-        map(rshift, map(add, los, his), map(sub, scales, repeat(62))), np.uint64, len(los)
-    )
-    small = np.flatnonzero(m < 1 << 55).tolist()
-    top = np.searchsorted(_TOPS, m, side="right")  # L - 56 where m >= 2^55
-    m >>= top.astype(np.uint64)
-    out = np.right_shift(m, 28).astype(np.float64)
-    out *= 1 << 28
-    m &= (1 << 28) - 1
-    out += m
-    top -= 63
-    np.ldexp(out, top, out=out)
-    for i in small:
-        out[i] = _mid_float(los[i], his[i], scales[i])
-    return out

@@ -345,6 +345,26 @@ def test_exit_usage(tmp_path, capsys):
     assert os.listdir(d) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify"],
+    ["expand", "--x", "1/3"],
+    ["parry"],
+    ["orbit", "--x", "1/3"],
+    ["weyl", "--x", "1/3"],
+    ["decay", "--iid", "1/2,1/2", "--workers", "1"],
+    ["lemma32", "--mu", "parry"],
+    ["invariance", "--x", "1/3"],
+    ["selfsim"],
+], ids=lambda argv: argv[0])
+def test_a_base_too_large_for_a_float_is_refused(tmp_path, capsys, argv):
+    # 10^400 overflows float(b), which parry, weyl, decay, lemma32,
+    # invariance and selfsim read; every command refuses it before it runs
+    d, huge = str(tmp_path), "1" + "0" * 400
+    assert main([*argv, "--beta", huge, "--out", d]) == 1
+    assert f"error: base {huge!r} is too large for a float" in capsys.readouterr().err
+    assert os.listdir(d) == []
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [

@@ -1,6 +1,6 @@
 """Static checks on the package: numpy is its only dependency, no dead
-imports, no __all__ lists, no unreachable public names, and the benchmark's
-traced names still resolve.
+imports, no __all__ lists, no unreachable public names, no private name that
+src/ never uses, and the benchmark's traced names still resolve.
 
 `bench/tracing.py` wraps the functions it lists in TRACED by name, so a
 renamed or deleted function would only show up as a crash of the traced
@@ -141,21 +141,39 @@ def _uses(node: ast.stmt) -> set[str]:
     return refs
 
 
+def _modules() -> list[tuple[str, ast.Module]]:
+    """(name, syntax tree) of every module but the package root, whose
+    re-exports are imports only."""
+    return [
+        (path.stem, ast.parse(path.read_text()))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    ]
+
+
+def _src_uses(modules) -> set[str]:
+    """Names the package's top-level statements refer to; an import alone is
+    no use, nor is a constant's assignment a use of the constant."""
+    used = set()
+    for _, tree in modules:
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            refs = _uses(node)
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                refs -= set(_assigned(node))
+            used |= refs
+    return used
+
+
 def test_every_public_name_is_reached():
     """A public name is used by another definition in src/, by an acceptance
     criterion, by the README or by the benchmark's tracer; the package root's
     re-exports do not count as uses.  Members match by their own name, as
     attribute access cannot tell which class it reaches."""
-    used = set()
-    public = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        tree = ast.parse(path.read_text())
-        public += [(path.stem, name) for name in _public_names(tree)]
-        for node in tree.body:
-            if not isinstance(node, (ast.Import, ast.ImportFrom)):  # an import alone is no use
-                used |= _uses(node)
+    modules = _modules()
+    public = [(module, name) for module, tree in modules for name in _public_names(tree)]
+    used = _src_uses(modules)
     used |= _referenced(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
     used |= set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
     for names in _load_tracing().TRACED.values():
@@ -166,6 +184,51 @@ def test_every_public_name_is_reached():
         if name not in REFERENCE_ONLY and name.split(".")[-1] not in used
     ]
     assert not unreached, unreached
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _assigned(node: ast.Assign | ast.AnnAssign) -> list[str]:
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [target.id for target in targets if isinstance(target, ast.Name)]
+
+
+def _private_names(tree: ast.Module) -> list[str]:
+    """Top-level functions, classes and constants whose names start with an
+    underscore, and the private methods of every top-level class, each named
+    Class.member; dunder methods are not private."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if _is_private(node.name):
+                names.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                names += [
+                    f"{node.name}.{member.name}"
+                    for member in node.body
+                    if isinstance(member, ast.FunctionDef) and _is_private(member.name)
+                ]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            names += filter(_is_private, _assigned(node))
+    return names
+
+
+def test_every_private_name_is_used_in_src():
+    """A private name is referenced from src/ outside its own definition:
+    tests, the tracer and docstrings do not keep it alive, so code left
+    behind when its last caller goes fails here.  Members match by their own
+    name, as in `test_every_public_name_is_reached`."""
+    modules = _modules()
+    used = _src_uses(modules)
+    unused = [
+        f"{module}.{name}"
+        for module, tree in modules
+        for name in _private_names(tree)
+        if name.split(".")[-1] not in used
+    ]
+    assert not unused, unused
 
 
 def test_traced_names_resolve():

@@ -396,16 +396,24 @@ def _mid_float(lo, hi, s):
     return math.ldexp(float(tot >> shift), shift - s - 1)
 
 
-@pytest.mark.parametrize("desc", [PHI, "5/2", "2.2", "2." + "3" * 60])
-def test_orbit_floats_are_the_truncated_midpoints(desc):
-    # float leaves give floats within 10^-9 / 2 of the points; the 60-digit
-    # base keeps the per-step loop (_JUMP_SIZE_RATIO) and its truncated midpoints
+@pytest.mark.parametrize("desc, digits", [
+    *(pytest.param(desc, 9, id=desc) for desc in (PHI, "5/2", "2.2", "2." + "3" * 60)),
+    pytest.param(PHI, 16, id="phi-16-digits"),
+])
+def test_orbit_floats_are_the_truncated_midpoints(desc, digits):
+    # float leaves give floats within 10^-9 / 2 of the points.  The 60-digit
+    # base keeps the per-step loop (_JUMP_SIZE_RATIO), and phi at 16 digits
+    # has no float step under the bound (L = 0), so the tree splits and every
+    # leaf runs the integer loop: both give the truncated midpoints of the
+    # integer engine's columns
     b, x, n = parse_beta(desc), Fraction(12345, 99991), 700
-    floats = tb_orbit_floats(b, x, n)
-    if len(desc) < 60:
+    floats = tb_orbit_floats(b, x, n, digits)
+    if digits == 16:
+        assert precision._float_leaf_plan(b, digits)[1] == ()
+    if len(desc) < 60 and digits == 9:
         assert _within_half_digit(floats, _exact_points(b, x, n)[1], 9)
     else:
-        engine, points, _, _ = precision._certified_orbit(b, x, n, 9, "auto", 0, None)
+        engine, points, _, _ = precision._certified_orbit(b, x, n, digits, "auto", 0, None)
         assert points is None
         want = [_mid_float(*t).hex() for t in zip(*engine.columns)]
         assert [f.hex() for f in floats] == want
@@ -417,7 +425,7 @@ def test_orbit_floats_are_the_truncated_midpoints(desc):
 def _float_orbit(b, x, n):
     """Digits and floats of the interval pass with float leaves, as
     tb_orbit_floats runs it at 9 digits."""
-    plan = precision._float_leaf_plan(b, 9, min(n, precision._BASE_STEPS))
+    plan = precision._float_leaf_plan(b, 9)
     return precision._certified_orbit(b, x, n, 9, "auto", 0, plan)
 
 
@@ -487,61 +495,6 @@ def test_a_near_cut_leaf_takes_the_integer_loop(x):
     assert digits == oracle_digits and digits[9] == 1
     want = [_mid_float(*t).hex() for t in zip(*oracle.columns)]
     assert [f.hex() for f in tb_orbit_floats(b, x, n)] == want
-
-
-def _columns_of(points):
-    """Columns (lo mantissas, hi mantissas, scales) of (lo, hi, s) points."""
-    return tuple(map(list, zip(*points)))
-
-
-@st.composite
-def _mantissa_points(draw):
-    s = draw(st.integers(64, 3000))
-    lo = draw(st.integers(0, (1 << s) - 1))
-    hi = draw(st.integers(lo, 1 << s))
-    return lo, hi, s
-
-
-@settings(max_examples=300)
-@given(points=st.lists(_mantissa_points(), min_size=1, max_size=40))
-def test_vectorised_midpoints_match_the_per_point_conversion(points):
-    got = precision._midpoint_floats(_columns_of(points))
-    assert [f.hex() for f in got] == [_mid_float(*p).hex() for p in points]
-
-
-def _tot_point(tot, s):
-    """A point (lo, hi, s) with lo + hi = tot."""
-    lo = tot // 2
-    return lo, tot - lo, s
-
-
-def _tie(s, odd):
-    """A point whose 56-bit truncated midpoint lies halfway between two
-    53-bit floats, the lower one even (odd=False) or odd; bits below the
-    truncation are set, so only truncation-then-rounding gives the float."""
-    v = (1 << 55) | (0b1010110 << 20) | (int(odd) << 3) | 0b100
-    return _tot_point((v << (s - 55)) | ((1 << (s - 55)) - 1), s)
-
-
-@pytest.mark.parametrize("s", [64, 65, 200, 4000])
-def test_vectorised_midpoints_at_their_edges(s):
-    points = [
-        _tot_point(((1 << 55) - 1) << (s - 62), s),  # m = 2^55 - 1: the per-point formula
-        _tot_point((1 << 55) << (s - 62), s),  # m = 2^55: the smallest array value
-        _tot_point(((1 << 55) << (s - 62)) - 1, s),  # just below 2^55 by its low bits
-        ((1 << s) - 1, 1 << s, s),  # x just below 1: m = 2^63 - 1
-        ((1 << s) - 3, (1 << s) - 2, s),  # m >= 2^62
-        _tie(s, odd=False),
-        _tie(s, odd=True),
-        (0, 0, s),
-        (0, 1, s),
-    ]
-    got = precision._midpoint_floats(_columns_of(points))
-    assert [f.hex() for f in got] == [_mid_float(*p).hex() for p in points]
-    # the ties round to even: down from an even float, up from an odd one
-    for point, f in zip(points[5:7], got[5:7]):
-        exact = Fraction(point[0] + point[1], 1 << (point[2] + 1))
-        assert (Fraction(f) > exact) == (point is points[6])
 
 
 def test_width_check_rejects_a_forced_wide_point():
