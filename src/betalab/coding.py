@@ -14,10 +14,11 @@ masses are rational, ln(n) enters only through certified rational enclosures,
 and the marker-window measures come from an avoid-pattern transfer count, so
 the admissibility inequalities are theorem-grade, not float comparisons.
 
-The Monte-Carlo kernels are time-major: digits and R are held as
-cols[t, sample], one contiguous row per coordinate, so word codes, marker
-windows and bit keys are whole-row operations over cache-sized slices of
-samples.
+The Monte-Carlo kernels take digits sample-major, rows[sample, t], as the
+generator draws them, and transpose one cache-sized slice of samples at a
+time to cols[t, sample], one contiguous row per coordinate, so word codes,
+marker windows and bit keys are whole-row operations.  No time-major copy of
+a whole pool is held.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .exactnum import ln_bounds
 from .precision import UndeterminedValue
 
 _GROUPS = 25  # batch groups for Monte-Carlo standard errors
-_CHUNK = 16384  # samples per cache-sized slice of the time-major R kernel
+_CHUNK = 16384  # samples per cache-sized, transposed slice of the R kernel
 
 
 def _certify(n: int, pred, bits: int = 128):
@@ -247,29 +248,30 @@ class CodedProcess:
     def span(self) -> int:
         return self.params.span
 
-    def _r_values(self, cols: np.ndarray) -> np.ndarray:
-        """R[t, sample] at every time t whose full read window fits in the
-        time-major digits cols[t, sample]."""
-        length, n = cols.shape
-        R = np.empty((length - self.span + 1, n), dtype=bool)
+    def _r_values(self, rows: np.ndarray) -> np.ndarray:
+        """R[sample, t] at every time t whose full read window fits in the
+        sample-major digits rows[sample, t]."""
+        n, length = rows.shape
+        R = np.empty((n, length - self.span + 1), dtype=bool)
         for a in range(0, n, _CHUNK):
-            R[:, a : a + _CHUNK] = self._r_chunk(cols[:, a : a + _CHUNK])
+            R[a : a + _CHUNK] = self._r_chunk(rows[a : a + _CHUNK]).T
         return R
 
-    def _r_key(self, cols: np.ndarray, lsb_first: bool = False) -> np.ndarray:
-        """The T rows of _r_values packed into one unsigned integer per
-        sample, row 0 the most (or, with lsb_first, the least) significant
-        bit; T <= 64."""
-        length, n = cols.shape
+    def _r_key(self, rows: np.ndarray, lsb_first: bool = False) -> np.ndarray:
+        """The T values of each row of _r_values packed into one unsigned
+        integer per sample, t = 0 the most (or, with lsb_first, the least)
+        significant bit; T <= 64."""
+        n, length = rows.shape
         dtype = np.min_scalar_type((1 << (length - self.span + 1)) - 1)
         key = np.empty(n, dtype=dtype)
         for a in range(0, n, _CHUNK):
-            R = self._r_chunk(cols[:, a : a + _CHUNK])
+            R = self._r_chunk(rows[a : a + _CHUNK])
             key[a : a + _CHUNK] = _pack_rows(R[::-1] if lsb_first else R, dtype)
         return key
 
-    def _r_chunk(self, cols: np.ndarray) -> np.ndarray:
-        """_r_values for one slice of samples."""
+    def _r_chunk(self, rows: np.ndarray) -> np.ndarray:
+        """R[t, sample], time-major, for one slice of sample-major digits."""
+        cols = np.ascontiguousarray(rows.T)
         length, n = cols.shape
         out = length - self.span + 1
         R = np.zeros((out, n), dtype=bool)
@@ -300,7 +302,7 @@ class CodedProcess:
         digits = rng.integers(
             0, self.params.alphabet_size, (n, self.span), dtype=np.int8
         )
-        r = self._r_values(np.ascontiguousarray(digits.T))[0]
+        r = self._r_values(digits)[:, 0]
         p = float(np.mean(r))
         return p, math.sqrt(max(p * (1 - p), 1e-12) / n)
 
@@ -386,22 +388,25 @@ def estimate_near_diagonal(
     span = proc.span
     W = proc.W
     pool = past_samples if past_samples is not None else int(2.4 * pair_samples) + 64
-    seg_len = W + span - 1
-    # drawn sample-major, the stream's order; the kernels read a time-major copy
-    cols = np.ascontiguousarray(rng.integers(0, l, (pool, seg_len), dtype=np.int8).T)
+    # drawn sample-major, the stream's order, and held once: each array below
+    # is dropped as soon as the next step has what it needs
+    digits = rng.integers(0, l, (pool, W + span - 1), dtype=np.int8)
     # eta < 2^W holds R_{-W+1+j} in bit j; its narrow type lets the stable
     # sort be a radix sort for W <= 16
-    eta = proc._r_key(cols, lsb_first=True)
-    overlap = cols[W:]  # coords 1..span-1, feed the future digits
+    eta = proc._r_key(digits, lsb_first=True)
 
     # bucket by window; consecutive entries of a shuffled order are i.i.d.
     order = rng.permutation(pool)
-    eta_s = eta[order]
-    rank = np.argsort(eta_s, kind="stable")
-    sorted_eta = eta_s[rank]
-    same = sorted_eta[0::2][: len(sorted_eta) // 2] == sorted_eta[1::2]
-    idx_a = order[rank[0::2][: len(same)][same]]
-    idx_b = order[rank[1::2][same]]
+    eta = eta[order]
+    rank = np.argsort(eta, kind="stable")
+    eta = eta[rank]
+    order = order[rank]  # pool index of each sorted entry
+    del rank
+    same = eta[0::2][: len(eta) // 2] == eta[1::2]
+    del eta
+    idx_a = order[0::2][: len(same)][same]
+    idx_b = order[1::2][same]
+    del order, same
     if len(idx_a) < _GROUPS:
         raise SparsePool(
             f"{2 * len(idx_a)} of the pool's {pool} pasts found a partner with the same "
@@ -409,23 +414,25 @@ def estimate_near_diagonal(
         )
     take = min(pair_samples, len(idx_a))
     sel = rng.permutation(len(idx_a))[:take]
-    idx_a, idx_b = idx_a[sel], idx_b[sel]
+    # the pairs' overlap digits, coords 1..span-1, feed the future digits;
+    # the pool is freed before the fresh draw
+    overlap = [digits[idx[sel], W:] for idx in (idx_a, idx_b)]
+    del digits, idx_a, idx_b, sel
 
     F = int(math.ceil(math.log2(n_scale))) + 8
     fresh = rng.integers(0, l, (2, take, F), dtype=np.int8)
-    mat = np.empty((span - 1 + F, take), dtype=np.int8)  # one side's future digits
+    mat = np.empty((take, span - 1 + F), dtype=np.int8)  # one side's future digits
     xs = []
-    for side, idx in enumerate((idx_a, idx_b)):
-        np.take(overlap, idx, axis=1, out=mat[: span - 1])
-        mat[span - 1 :] = fresh[side].T
+    for side in range(2):
+        mat[:, : span - 1] = overlap[side]
+        mat[:, span - 1 :] = fresh[side]
         # x = sum_{t<=F} R_t 2^-t over R_1..R_F: for F <= 53 an F-bit integer
         # times 2^-F, exact in a double; past that rounded, so summed in the
         # order of the row-major matmul
         if F <= 53:
             xs.append(proc._r_key(mat) * 2.0**-F)
         else:
-            R_fut = np.ascontiguousarray(proc._r_values(mat).T)
-            xs.append(R_fut @ 2.0 ** -np.arange(1, F + 1))
+            xs.append(proc._r_values(mat) @ 2.0 ** -np.arange(1, F + 1))
     hits = (np.abs(xs[0] - xs[1]) < 1.0 / n_scale).astype(float)
     est, se = _batch_means(hits)
     return NearDiagonalEstimate(

@@ -526,9 +526,15 @@ class _IntervalOrbit:
             t = max(0, e.bit_length() - den.bit_length() + 33 - shift)
             r = self._sqrt_d(t)  # sqrt(d) * 2^t in (r, r + 1)
             g = (g << t) + e * (r + 1 if (e > 0) == up else r)
+        shift += t
+        if den & (den - 1) == 0:
+            # den = w^h is a power of two (w = 2 for phi): floor and ceil
+            # division by 2^k are shifts
+            shift += den.bit_length() - 1
+            return -((-g) >> shift) if up else g >> shift
         if up:
-            return -(((-g) >> (shift + t)) // den)
-        return (g >> (shift + t)) // den
+            return -(((-g) >> shift) // den)
+        return (g >> shift) // den
 
 
 Columns = tuple[list[int], list[int], list[int]]  # per-step lo and hi mantissas, scale
@@ -555,7 +561,8 @@ def _float_leaf_plan(b: BetaNumber, digits_required: int) -> LeafPlan:
     # int / int is correctly rounded; each bound steps one float outward
     lo, hi = b.scaled_bounds(128)
     b_float = (lo + hi) / (1 << 129)
-    mid = int(b_float * (1 << 128))  # exact: b~ is a multiple of 2^-128
+    num, den = b_float.as_integer_ratio()  # den = 2^k, k <= 52 as b~ >= 1
+    mid = (num << 128) // den  # exact: b~ 2^128, even where it overflows a float
     delta = math.nextafter(max(hi - mid, mid - lo) / (1 << 128), math.inf)
     b_hi = math.nextafter(max(hi, mid) / (1 << 128), math.inf)
     target = math.nextafter(1 / (2 * 10**digits_required), 0.0)

@@ -49,7 +49,7 @@ class SelfSimilarMeasure:
 
     @property
     def b(self) -> float:
-        return 0.5 * (self.base.lo + self.base.hi)
+        return float(self.base)
 
     @property
     def attractor_sup(self) -> float:
@@ -209,8 +209,17 @@ def ssm_invariance_check(
         raise ValueError("empty grid")
     pts = ssm_sample(m, samples, seed=seed)
     pts.sort()
+    return _invariance_of_sorted(m, grid, pts)
+
+
+def _invariance_of_sorted(m: SelfSimilarMeasure, grid: Sequence, pts: np.ndarray) -> InvarianceCheck:
+    """`ssm_invariance_check` on a sorted, nonempty sample cloud and grid."""
     n = pts.size
     b = m.b
+    # a preimage (k + u, k + v)/b with k past b pts[-1] + 1 lies above every
+    # point and would add a mass of exactly 0; as b pts[-1] <= b/(b - 1) <= 2,
+    # a few preimages are counted, not ceil(b)
+    k_end = min(m.base.ceil_b, math.floor(b * pts[-1]) + 2)
 
     def mass(u: float, v: float) -> float:
         return (np.searchsorted(pts, v, "left") - np.searchsorted(pts, u, "left")) / n
@@ -221,7 +230,7 @@ def ssm_invariance_check(
     for (u, v) in grid:
         ma = mass(u, v)
         mp = 0.0
-        for k in range(m.base.ceil_b):
+        for k in range(k_end):
             pu, pv = (k + u) / b, (k + v) / b
             pu, pv = max(pu, 0.0), min(pv, 1.0)
             if pu < pv:
@@ -237,7 +246,7 @@ def ssm_invariance_check(
         sigma_at_max=sig_at,
         within_budget=ok,
         n_intervals=len(grid),
-        n_samples=samples,
+        n_samples=n,
     )
 
 

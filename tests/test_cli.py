@@ -20,7 +20,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import betalab.cli as cli
-from betalab import precision, weyl
+from betalab import precision, selfsimilar, weyl
 from betalab.cli import UsageError, main, parse_point
 from betalab.exactnum import Quadratic
 from betalab.parry import ParryDensity
@@ -310,6 +310,32 @@ def test_selfsim_smoke(tmp_path):
     assert rows[0] == "xi,abs_mu_hat" and len(rows) == 1 + 512
 
 
+SELFSIM_LEVEL_PINS = {
+    "selfsim.json": "882b950c2850dd39c84e294f87392d7c185f1517092b20b645c199fe5d28e535",
+    "selfsim.csv": "976cc9bd890499c533e1154d27e7b5395d61a61b4de819a12eed8943da1d9d28",
+}
+
+
+def test_selfsim_level_reuses_the_invariance_cloud(tmp_path, monkeypatch):
+    # the witness reads the sorted cloud of the invariance check; coverage is
+    # a mean of booleans, so the order of the cloud cannot change it
+    calls = []
+    sample = selfsimilar.ssm_sample
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:])
+        return sample(*args, **kwargs)
+
+    for module in (cli, selfsimilar):
+        monkeypatch.setattr(module, "ssm_sample", counting)
+    d = str(tmp_path)
+    assert main(["selfsim", "--beta", "2.2", "--level", "12", "--out", d]) == 0
+    assert calls == [(200000,)]
+    assert _json(d, "selfsim.json")["witness"]["level"] == 12
+    for name, want in SELFSIM_LEVEL_PINS.items():
+        assert hashlib.sha256(_bytes(d, name)).hexdigest() == want, name
+
+
 def test_counterexample_at_default_flags_is_reproducible(tmp_path):
     d1, d2 = str(tmp_path / "a"), str(tmp_path / "b")
     assert main(["counterexample", "--seed", "3", "--out", d1]) == 0
@@ -363,6 +389,29 @@ def test_a_base_too_large_for_a_float_is_refused(tmp_path, capsys, argv):
     assert main([*argv, "--beta", huge, "--out", d]) == 1
     assert f"error: base {huge!r} is too large for a float" in capsys.readouterr().err
     assert os.listdir(d) == []
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["classify"], 0),
+    (["expand", "--x", "1/3"], 0),
+    (["parry"], 0),
+    (["orbit", "--x", "1/3", "--steps", "64"], 0),
+    (["weyl", "--x", "1/3", "--N", "64"], 0),
+    (["decay", "--iid", "1/2,1/2", "--workers", "1", "--N", "64", "--samples", "16"], 0),
+    # m b^z overflows the NUFFT grid's node positions
+    (["lemma32", "--mu", "parry"], 1),
+    (["invariance", "--x", "1/3", "--N", "64"], 0),
+    (["selfsim", "--samples", "20000"], 0),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_a_base_near_the_top_of_the_float_range_runs_or_names_the_base(tmp_path, capsys, argv,
+                                                                       code):
+    # 10^308 is a finite float, but b~ 2^128, the sum lo + hi of its bounds
+    # and m b^z are not: each command runs, or exits 1 naming the base
+    d, huge = str(tmp_path), "1" + "0" * 308
+    assert main([*argv, "--beta", huge, "--out", d]) == code
+    if code:
+        assert repr(huge) in capsys.readouterr().err
+        assert os.listdir(d) == []
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -80,8 +81,7 @@ def _brute_marginal(proc: CodedProcess) -> Fraction:
     span = proc.span
     hits = 0
     for word in itertools.product(range(l), repeat=span):
-        cols = np.array([word], dtype=np.int64).T
-        if proc._r_values(cols)[0, 0]:
+        if proc._r_values(np.array([word], dtype=np.int64))[0, 0]:
             hits += 1
     return Fraction(hits, l**span)
 
@@ -121,13 +121,14 @@ def _processes_and_digits(draw):
     return proc, digits
 
 
-@given(_processes_and_digits(), st.sampled_from((1, 3, coding._CHUNK)))
+@given(_processes_and_digits(), st.sampled_from((1, 3, 7, coding._CHUNK)))
 def test_r_values_match_sliding_windows(case, chunk):
+    # the kernels read sample-major digits, as drawn, and transpose one slice
+    # of chunk samples at a time; most row counts leave a partial last slice
     proc, digits = case
-    cols = np.ascontiguousarray(digits.T)  # the kernel reads time-major digits
     with mock.patch.object(coding, "_CHUNK", chunk):
-        got = proc._r_values(cols).T
-        key, lsb_key = proc._r_key(cols), proc._r_key(cols, lsb_first=True)
+        got = proc._r_values(digits)
+        key, lsb_key = proc._r_key(digits), proc._r_key(digits, lsb_first=True)
     want = _sliding_window_r_values(proc, digits)
     assert got.dtype == want.dtype == bool
     assert got.shape == want.shape == (len(digits), digits.shape[1] - proc.span + 1)
@@ -135,6 +136,17 @@ def test_r_values_match_sliding_windows(case, chunk):
     T = want.shape[1]
     assert key.tolist() == [sum(int(r) << (T - 1 - t) for t, r in enumerate(row)) for row in want]
     assert lsb_key.tolist() == [sum(int(r) << t for t, r in enumerate(row)) for row in want]
+
+
+def test_r_values_past_one_slice_match_sliding_windows():
+    # more samples than one slice at the shipped _CHUNK, the last slice partial
+    proc = CodedProcess(_schedule(3, 2))
+    digits = np.random.default_rng(7).integers(0, 3, (2 * coding._CHUNK + 5, proc.span + 8),
+                                               dtype=np.int8)
+    want = _sliding_window_r_values(proc, digits)
+    assert np.array_equal(proc._r_values(digits), want)
+    T = want.shape[1]
+    assert np.array_equal(proc._r_key(digits), want.astype(np.int64) @ (1 << np.arange(T - 1, -1, -1)))
 
 
 def test_exact_marginal_against_enumeration():
@@ -381,3 +393,19 @@ def test_near_diagonal_past_53_future_bits_matches_the_row_major_estimator(n):
     want = _row_major_estimate(proc, 2, 2000, None, 5)
     assert estimate_near_diagonal(proc, 2, pair_samples=2000, seed=5) == want
     assert want.n_pairs == 2000
+
+
+def test_near_diagonal_holds_at_most_48_bytes_per_pooled_past():
+    # the pool is drawn sample-major and held once, each bucketing array is
+    # dropped once the matched indices exist, and the pool is freed before the
+    # fresh draw; a time-major copy of the pool alongside it reads 81 bytes
+    proc = CodedProcess(_schedule(3, 2))
+    pairs = 10**5
+    pool = int(2.4 * pairs) + 64
+    tracemalloc.start()
+    try:
+        estimate_near_diagonal(proc, 2, pair_samples=pairs, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * pool, f"{peak / pool:.1f} bytes per pooled past"
