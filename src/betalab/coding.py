@@ -394,6 +394,9 @@ def estimate_near_diagonal(
     # eta < 2^W holds R_{-W+1+j} in bit j; its narrow type lets the stable
     # sort be a radix sort for W <= 16
     eta = proc._r_key(digits, lsb_first=True)
+    # only coords 1..span-1 feed the future digits: keep those, drop the rest
+    overlap = np.ascontiguousarray(digits[:, W:])
+    del digits
 
     # bucket by window; consecutive entries of a shuffled order are i.i.d.
     order = rng.permutation(pool)
@@ -414,10 +417,10 @@ def estimate_near_diagonal(
         )
     take = min(pair_samples, len(idx_a))
     sel = rng.permutation(len(idx_a))[:take]
-    # the pairs' overlap digits, coords 1..span-1, feed the future digits;
-    # the pool is freed before the fresh draw
-    overlap = [digits[idx[sel], W:] for idx in (idx_a, idx_b)]
-    del digits, idx_a, idx_b, sel
+    # each side's overlap digits, gathered so the pool's are freed before the
+    # fresh draw
+    overlap = [np.take(overlap, idx[sel], axis=0) for idx in (idx_a, idx_b)]
+    del idx_a, idx_b, sel
 
     F = int(math.ceil(math.log2(n_scale))) + 8
     fresh = rng.integers(0, l, (2, take, F), dtype=np.int8)
@@ -433,6 +436,7 @@ def estimate_near_diagonal(
             xs.append(proc._r_key(mat) * 2.0**-F)
         else:
             xs.append(proc._r_values(mat) @ 2.0 ** -np.arange(1, F + 1))
+    del overlap, fresh, mat
     hits = (np.abs(xs[0] - xs[1]) < 1.0 / n_scale).astype(float)
     est, se = _batch_means(hits)
     return NearDiagonalEstimate(

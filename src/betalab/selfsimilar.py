@@ -212,7 +212,9 @@ def ssm_invariance_check(
     return _invariance_of_sorted(m, grid, pts)
 
 
-def _invariance_of_sorted(m: SelfSimilarMeasure, grid: Sequence, pts: np.ndarray) -> InvarianceCheck:
+def _invariance_of_sorted(
+    m: SelfSimilarMeasure, grid: Sequence, pts: np.ndarray
+) -> InvarianceCheck:
     """`ssm_invariance_check` on a sorted, nonempty sample cloud and grid."""
     n = pts.size
     b = m.b

@@ -145,8 +145,8 @@ def test_r_values_past_one_slice_match_sliding_windows():
                                                dtype=np.int8)
     want = _sliding_window_r_values(proc, digits)
     assert np.array_equal(proc._r_values(digits), want)
-    T = want.shape[1]
-    assert np.array_equal(proc._r_key(digits), want.astype(np.int64) @ (1 << np.arange(T - 1, -1, -1)))
+    weights = 1 << np.arange(want.shape[1] - 1, -1, -1)
+    assert np.array_equal(proc._r_key(digits), want.astype(np.int64) @ weights)
 
 
 def test_exact_marginal_against_enumeration():
