@@ -54,10 +54,10 @@ from .precision import (
 )
 from .selfsimilar import (
     SelfSimilarMeasure,
-    _invariance_of_sorted,
     singularity_witness,
     ssm_decay_profile,
     ssm_fourier_many,
+    ssm_invariance_check,
     ssm_sample,
     ssm_selfsim_residual,
     uniform_grid,
@@ -72,7 +72,6 @@ from .sources import (
 )
 from .weyl import (
     MIN_SAMPLES,
-    GridTooLarge,
     _checkpoints,
     invariance_defects,
     lemma32_sweep,
@@ -468,8 +467,8 @@ def cmd_lemma32(args, ws: Workspace) -> int:
             mu, args.c, args.d, ms, rs, b, quad_nodes=args.nodes, cloud_size=args.cloud,
             seed=args.seed,
         )
-    except GridTooLarge as exc:
-        raise UsageError(f"{exc}; lower --m or --beta {args.beta!r}") from None
+    except ValueError as exc:
+        raise ValueError(f"{exc} (--beta {args.beta!r})") from None
     configs = [
         {"m": m, "r": r, **asdict(res), "violated": bool(res.slack < -res.quad_error)}
         for (m, r), res in zip([(m, r) for m in ms for r in rs], results)
@@ -534,7 +533,7 @@ def cmd_selfsim(args, ws: Workspace) -> int:
     # one cloud, sorted, serves the invariance check and the witness
     cloud = ssm_sample(meas, args.samples, seed=args.seed)
     cloud.sort()
-    inv = _invariance_of_sorted(meas, uniform_grid(args.grid_k), cloud)
+    inv = ssm_invariance_check(meas, uniform_grid(args.grid_k), cloud=cloud)
     residual = max(
         ssm_selfsim_residual(meas, xi) for xi in np.geomspace(1.0, args.xi_max, 64)
     )
@@ -549,7 +548,10 @@ def cmd_selfsim(args, ws: Workspace) -> int:
         "residual_max": residual,
     }
     if args.level > 0:
-        payload["witness"] = asdict(singularity_witness(meas, cloud, args.level))
+        try:
+            payload["witness"] = asdict(singularity_witness(meas, cloud, args.level))
+        except ValueError as exc:
+            raise ValueError(f"{exc} (--beta {args.beta!r})") from None
     ws.write_json(payload)
     ws.write_csv(
         ("xi", "abs_mu_hat"),

@@ -526,15 +526,9 @@ class _IntervalOrbit:
             t = max(0, e.bit_length() - den.bit_length() + 33 - shift)
             r = self._sqrt_d(t)  # sqrt(d) * 2^t in (r, r + 1)
             g = (g << t) + e * (r + 1 if (e > 0) == up else r)
-        shift += t
-        if den & (den - 1) == 0:
-            # den = w^h is a power of two (w = 2 for phi): floor and ceil
-            # division by 2^k are shifts
-            shift += den.bit_length() - 1
-            return -((-g) >> shift) if up else g >> shift
         if up:
-            return -(((-g) >> shift) // den)
-        return (g >> shift) // den
+            return -(((-g) >> (shift + t)) // den)
+        return (g >> (shift + t)) // den
 
 
 Columns = tuple[list[int], list[int], list[int]]  # per-step lo and hi mantissas, scale

@@ -165,6 +165,13 @@ def singularity_witness(
         raise ValueError("need b > 2: no gaps at or below 2")
     b = m.b
     sup = m.attractor_sup
+    # the gap between the level-1 cylinders [0, sup/b] and [1/b, sup]: one
+    # no wider than the edge slack on both sides tells no cylinder apart
+    gap = (1.0 - sup) / b
+    if gap <= 2 * _EDGE_EPS:
+        raise ValueError(
+            f"the cylinder gap {gap:.3g} is within the witness's edge slack {_EDGE_EPS:g}"
+        )
     total = (2.0 / b) ** level / (b - 1.0)
     x = np.asarray(samples, dtype=float).copy()
     ok = (x >= -_EDGE_EPS) & (x <= sup + _EDGE_EPS)
@@ -198,24 +205,22 @@ def ssm_invariance_check(
     grid: Sequence,
     samples: int = 10**6,
     seed: int = 0,
+    *,
+    cloud: np.ndarray | None = None,
 ) -> InvarianceCheck:
     """Empirical |mu(T_b^{-1} A) - mu(A)| over the grid, against a 4 sigma MC budget.
 
     Shared sample cloud on both sides; the difference variance is bounded by
     the symmetric-difference mass, itself <= mass(A) + mass(T^-1 A), which is
-    the (generous) sigma used for the budget.
+    the (generous) sigma used for the budget.  A sorted, nonempty `cloud` of
+    m's samples is used in place of a draw of `samples` points at `seed`.
     """
     if len(grid) < 1:
         raise ValueError("empty grid")
-    pts = ssm_sample(m, samples, seed=seed)
-    pts.sort()
-    return _invariance_of_sorted(m, grid, pts)
-
-
-def _invariance_of_sorted(
-    m: SelfSimilarMeasure, grid: Sequence, pts: np.ndarray
-) -> InvarianceCheck:
-    """`ssm_invariance_check` on a sorted, nonempty sample cloud and grid."""
+    pts = cloud
+    if pts is None:
+        pts = ssm_sample(m, samples, seed=seed)
+        pts.sort()
     n = pts.size
     b = m.b
     # a preimage (k + u, k + v)/b with k past b pts[-1] + 1 lies above every

@@ -145,11 +145,8 @@ def _phases(xs: np.ndarray, ms):
             direct(m, cos, sin)
         else:
             if unit is None:
-                if prev == 1:  # the pair just yielded is direct(1)'s
-                    unit = cos.copy(), sin.copy()
-                else:
-                    unit = np.empty_like(xs), np.empty_like(xs)
-                    direct(1, *unit)
+                unit = np.empty_like(xs), np.empty_like(xs)
+                direct(1, *unit)
             c1, s1 = unit
             for _ in range(m - prev):
                 # (cos, sin) <- (cos c1 - sin s1, sin c1 + cos s1)
@@ -449,11 +446,6 @@ def _fine_grid(u: np.ndarray, w: float, lo: int, hi: int) -> np.ndarray:
             * np.exp((_SPREAD_TM2 / size**2) * k * k))
 
 
-class GridTooLarge(ValueError):
-    """The fine grid of `_window_sums` would hold more points than numpy can
-    allocate: m b is too large for a cloud's quadrature."""
-
-
 def _window_sums(ys: np.ndarray, m: int, b: float, qs) -> list[np.ndarray]:
     """|sum_j e(m b^z y_j)| at the midpoint nodes z_k = (k + 1/2)/q for each q
     of qs, for a sorted nonempty ys, each within len(ys) * _NUFFT_ERROR.  One
@@ -466,9 +458,9 @@ def _window_sums(ys: np.ndarray, m: int, b: float, qs) -> list[np.ndarray]:
     # node; numpy allocates no dimension past intp's range, nor an infinite one
     size = 2 * _FINE_RATIO * (max(t[-1] for t in ts) + 2 * _HALF_WINDOW)
     if not size < np.iinfo(np.intp).max:
-        raise GridTooLarge(
+        raise ValueError(
             f"the quadrature grid for m = {m} needs about {size:.3g} points, "
-            "more than numpy can allocate"
+            "more than numpy can allocate; lower m or b"
         )
     cells = [np.floor(t).astype(np.int64) for t in ts]
     lo = min(int(cell[0]) for cell in cells) - _HALF_WINDOW + 1

@@ -402,11 +402,14 @@ def test_a_base_too_large_for_a_float_is_refused(tmp_path, capsys, argv):
     (["lemma32", "--mu", "parry"], 1),
     (["invariance", "--x", "1/3", "--N", "64"], 0),
     (["selfsim", "--samples", "20000"], 0),
+    # the witness's cylinder gap, 1e-308, is within its edge slack
+    pytest.param(["selfsim", "--samples", "20000", "--level", "3"], 1, id="selfsim-level"),
 ], ids=lambda v: v[0] if isinstance(v, list) else None)
 def test_a_base_near_the_top_of_the_float_range_runs_or_names_the_base(tmp_path, capsys, argv,
                                                                        code):
-    # 10^308 is a finite float, but b~ 2^128, the sum lo + hi of its bounds
-    # and m b^z are not: each command runs, or exits 1 naming the base
+    # 10^308 is a finite float, but b~ 2^128, the sum lo + hi of its bounds,
+    # m b^z and the witness's b x are not: each command runs, or exits 1
+    # naming the base
     d, huge = str(tmp_path), "1" + "0" * 308
     assert main([*argv, "--beta", huge, "--out", d]) == code
     if code:

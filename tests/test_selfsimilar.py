@@ -189,6 +189,15 @@ def test_singularity_witness_rejects_no_gap_bases():
         singularity_witness(LEBESGUE, cloud, 4)
 
 
+@pytest.mark.parametrize("beta", ["2.0000000001", "1" + "0" * 12, "1" + "0" * 308])
+def test_singularity_witness_refuses_a_gap_within_its_edge_slack(beta):
+    # the level-1 gap (1 - sup)/b is 5e-11, 1e-12 and 1e-308: at or below
+    # 2 _EDGE_EPS no sample is placed in a cylinder, and at 10^308 b x overflows
+    meas = SelfSimilarMeasure(parse_beta(beta), 0.5, 0.5)
+    with pytest.raises(ValueError, match="within the witness's edge slack"):
+        singularity_witness(meas, np.linspace(0.0, meas.attractor_sup, 1000), 3)
+
+
 def test_witness_rejects_off_attractor_mass():
     w = singularity_witness(B22, np.full(1000, 0.95), 6)  # beyond sup = 0.8333
     assert w.coverage_fraction == 0.0
