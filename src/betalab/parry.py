@@ -12,15 +12,18 @@ Probes are evaluated in one sorted sweep.  f(x) is the sum of the weights
 b^(-n) with x < r_n, and the unnormalized CDF M(x) = sum b^(-n) min(x, r_n)
 equals P + x*Q, with P the sum of b^(-n) r_n over r_n <= x and Q the sum of
 b^(-n) over r_n > x; all of them change only where a probe passes an orbit
-point.  So each term is added once per sweep, not once per probe.  The terms
-of each side (lower, upper) are integer numerators over one denominator,
-built from b's dyadic bound and the dyadic orbit enclosures, so no addition
-pays for a gcd; a Fraction is formed only for a value handed back, and each
-grid row is one correctly rounded int / int division of the exact value.
-On b = 2.2 at tol 1e-10 (34 terms) a 512-point grid takes about 0.02 s (one
-core of a 2-vCPU VM, Python 3.11).  density_at is the sweep at one probe,
-interval_mass(u, v) is M(v) - M(u) over Z, and the normalizer Z sums the
-same integer terms.
+point.  So each term is added once per sweep, not once per probe.  The
+probes are integer numerators over one denominator, so the sweep bisects
+integers.  The terms of each side (lower, upper) are integer numerators over
+one denominator, built from b's dyadic bound and the dyadic orbit
+enclosures, so no addition pays for a gcd; a Fraction is formed only for a
+value handed back.  Each grid row and each midpoint float is the correctly
+rounded value of an exact quotient, as int / int gives it, but read from the
+top bits of its numerator and denominator (`_quotients`), with the full
+division only where those bits leave the rounding open.  On b = 2.2 at tol
+1e-10 (34 terms) a 512-point grid takes about 5 ms (one core of a 2-vCPU VM,
+Python 3.11).  density_at is the sweep at one probe, interval_mass(u, v) is
+M(v) - M(u) over Z, and the normalizer Z sums the same integer terms.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -63,12 +67,40 @@ def _share(tol: float, parts: int) -> Fraction:
     return Fraction(tol) / parts
 
 
+# bits of the divisor `_quotients` keeps before it rounds
+_TOP_BITS = 96
+
+
+def _quotients(n0: int, n1: int, e: int, rows: range) -> list[float]:
+    """The floats of (n0 + i*n1) / e, e > 0, for i in rows (all >= 0), each
+    the correctly rounded float that int / int gives.
+
+    Cut by s bits so that e keeps its top _TOP_BITS bits, n0, n1 and e are a,
+    b and d times 2^s plus less than 2^s each.  So for m = a + i*b >= 0 the
+    value lies in [m/(d+1), (m+i+1)/d).  Rounding is monotone: where both
+    ends round to one float, that float is the value's rounding.  Elsewhere
+    (near a tie between two floats, m < 0, or a value small against e) the
+    row is the exact division.
+    """
+    s = max(e.bit_length() - _TOP_BITS, 0)
+    a, b, d = n0 >> s, n1 >> s, e >> s
+    column = []
+    for i in rows:
+        m = a + i * b
+        q = m / (d + 1)
+        if m < 0 or q != (m + i + 1) / d:
+            q = (n0 + i * n1) / e
+        column.append(q)
+    return column
+
+
 def _mid_width(lo: Fraction, hi: Fraction) -> tuple[float, float]:
-    """The floats of (lo + hi)/2 and hi - lo, each one correctly rounded
-    division of integer cross products, with no gcd."""
+    """The floats of (lo + hi)/2 and hi - lo, each the correctly rounded
+    quotient of integer cross products, with no gcd."""
     a, c = lo.numerator * hi.denominator, hi.numerator * lo.denominator
     d = lo.denominator * hi.denominator
-    return (a + c) / (2 * d), (c - a) / d
+    [mid] = _quotients(a + c, 0, 2 * d, range(1))
+    return mid, (c - a) / d
 
 
 def _dyadic(x: Fraction) -> tuple[int, int]:
@@ -111,6 +143,28 @@ class _Side:
                 p = t * m << (shift - k)
             yield n, t << shift, p
             t *= self.a
+
+
+class _Probes(NamedTuple):
+    """Sorted probes nums[i] / den: integer numerators over one denominator,
+    so a sweep bisects integers and forms a Fraction only for a probe inside
+    an orbit point's enclosure."""
+
+    nums: Sequence[int]
+    den: int
+
+    @classmethod
+    def of(cls, xs: list[Fraction]) -> _Probes:
+        den = math.lcm(*(x.denominator for x in xs))
+        return cls([x.numerator * (den // x.denominator) for x in xs], den)
+
+    def cut(self, r: Fraction) -> int:
+        """bisect_left of r among the probes: nums[i]/den < r exactly when
+        nums[i] < ceil(r*den)."""
+        return bisect_left(self.nums, -(-r.numerator * self.den // r.denominator))
+
+    def at(self, i: int) -> Fraction:
+        return Fraction(self.nums[i], self.den)
 
 
 class _Sweep(NamedTuple):
@@ -219,7 +273,7 @@ class ParryDensity:
             self.base, Fraction(1), n_steps, digits_required=self.digits_required
         )
         # new enclosures: Z and the per-term floats are summed again
-        self._z: dict[Fraction, tuple[Fraction, Fraction]] = {}  # normalizer by width
+        self._z: dict[Fraction, tuple] = {}  # see _normalizer_entry, by width
         self._floats: list[tuple[float, float, float, float]] = []  # see _term_floats
         self._orbit = [_ONE] + pts
         for i, p in enumerate(self._orbit):
@@ -275,8 +329,8 @@ class ParryDensity:
         return (_Side(self.base.hi, n_terms, ends[0]),
                 _Side(self.base.lo, n_terms, ends[1], tail))
 
-    def _density_sweep(self, xs: list[Fraction]) -> _Sweep:
-        """The density's sweep over the sorted probes xs, summed to tol/2:
+    def _density_sweep(self, probes: _Probes) -> _Sweep:
+        """The density's sweep over the sorted probes, summed to tol/2:
         Q_lo and Q_hi are f's bounds, P is 0.
 
         Every comparison x < r_n is certified before anything is summed: a
@@ -288,30 +342,32 @@ class ParryDensity:
             if n >= len(self._orbit):
                 break  # a refinement certified an earlier zero
             r = self._orbit[n]
-            k = bisect_left(xs, r.lo)
-            for x in xs[k:bisect_left(xs, r.hi)]:
-                if self._resolve_cmp(x, n) > 0:
+            k = probes.cut(r.lo)
+            for i in range(k, probes.cut(r.hi)):
+                if self._resolve_cmp(probes.at(i), n) > 0:
                     break
                 k += 1
             cuts.append(k)
-        return _Sweep(self._sides(len(cuts), tail=self.tail_bound(n_terms)), (cuts, cuts), len(xs))
+        return _Sweep(self._sides(len(cuts), tail=self.tail_bound(n_terms)), (cuts, cuts),
+                      len(probes.nums))
 
-    def _mass_sweep(self, xs: list[Fraction]) -> _Sweep:
-        """The sweep over the sorted probes xs of M(x) = sum_n b^(-n)
+    def _mass_sweep(self, probes: _Probes) -> _Sweep:
+        """The sweep over the sorted probes of M(x) = sum_n b^(-n)
         min(x, r_n) = P + x*Q, summed to tol/4, with r_n's lower (upper) end
         and weight in the lower (upper) sum; the upper sum also carries
         x * tail_bound."""
         pre = self._orbit[: self.terms_for(_share(self.tol, 4))]
         ends = ([max(r.lo, 0) for r in pre], [max(r.hi, 0) for r in pre])
-        cuts = tuple([bisect_left(xs, x) for x in side] for side in ends)
-        return _Sweep(self._sides(len(pre), ends, self.tail_bound(len(pre))), cuts, len(xs))
+        cuts = tuple([probes.cut(x) for x in side] for side in ends)
+        return _Sweep(self._sides(len(pre), ends, self.tail_bound(len(pre))), cuts,
+                      len(probes.nums))
 
     def density_at(self, x) -> tuple[Fraction, Fraction]:
         """Interval of width <= tol around the unnormalized density f(x)."""
         x = Fraction(x)
         if not 0 <= x < 1:
             raise ValueError("density probes live in [0, 1)")
-        [((f_lo, _), (f_hi, _))] = _per_probe(self._density_sweep([x]))
+        [((f_lo, _), (f_hi, _))] = _per_probe(self._density_sweep(_Probes.of([x])))
         return f_lo, f_hi
 
     def normalizer(self) -> tuple[Fraction, Fraction]:
@@ -319,18 +375,25 @@ class ParryDensity:
         return self._normalizer(Fraction(self.tol))
 
     def _normalizer(self, width: Fraction) -> tuple[Fraction, Fraction]:
-        """Interval of width <= width around Z, each computed once per prefix.
-        A width finer than tol/4 (fourier's) may need a longer prefix, which
-        replaces the one every sum read so far."""
+        """Interval of width <= width around Z."""
+        return self._normalizer_entry(width)[:2]
+
+    def _normalizer_entry(self, width: Fraction) -> tuple:
+        """Z_lo, Z_hi of width <= width and the floats of (Z_lo + Z_hi)/2,
+        Z_hi - Z_lo and Z_lo, computed once per prefix.  A width finer than
+        tol/4 (fourier's) may need a longer prefix, which replaces the one
+        every sum read so far."""
         n_terms = self.terms_for(width / 2)
         if n_terms > len(self._orbit) and self._zero_from is None:
             self._compute_orbit(n_terms - 1)
         if width not in self._z:
             pre = self._orbit[:n_terms]
             ends = ([r.lo for r in pre], [r.hi for r in pre])
-            self._z[width] = tuple(
+            z_lo, z_hi = (
                 Fraction(sum(p for _, _, p in side.numerators()) + side.tail, side.den)
                 for side in self._sides(len(pre), ends, self.tail_bound(len(pre))))
+            [lo_float] = _quotients(z_lo.numerator, 0, z_lo.denominator, range(1))
+            self._z[width] = (z_lo, z_hi, *_mid_width(z_lo, z_hi), lo_float)
         return self._z[width]
 
     def interval_mass(self, u, v) -> tuple[Fraction, Fraction]:
@@ -339,7 +402,7 @@ class ParryDensity:
         u, v = Fraction(u), Fraction(v)
         if not 0 <= u < v <= 1:
             raise ValueError("need 0 <= u < v <= 1")
-        (lo_u, hi_u), (lo_v, hi_v) = _per_probe(self._mass_sweep([u, v]))
+        (lo_u, hi_u), (lo_v, hi_v) = _per_probe(self._mass_sweep(_Probes.of([u, v])))
         m_lo = _min_sum(lo_v, v) - _min_sum(lo_u, u)
         m_hi = _min_sum(hi_v, v) - _min_sum(hi_u, u)
         z_lo, z_hi = self._normalizer(_share(self.tol, 4))
@@ -360,23 +423,22 @@ class ParryDensity:
             # |d/dr (e(mr)-1)/(2 pi i m)| = 1, so enclosure width passes straight through
             width_err += w_mid * width + w_width / (math.pi * abs(m))
         tail = float(self.tail_bound(len(terms))) / (math.pi * abs(m))
-        z_lo, z_hi = self._normalizer(Fraction(FOURIER_Z_TOL))
-        z, z_width = _mid_width(z_lo, z_hi)
-        err = (abs(s) * z_width / float(z_lo) ** 2
-               + (tail + width_err + 1e-13 * len(terms)) / float(z_lo))
+        _, _, z, z_width, z_lo = self._normalizer_entry(Fraction(FOURIER_Z_TOL))
+        err = abs(s) * z_width / z_lo**2 + (tail + width_err + 1e-13 * len(terms)) / z_lo
         return FourierCoefficient(s / z, err)
 
     def _term_floats(self) -> list[tuple[float, float, float, float]]:
         """Per term n of the prefix, the floats of (w_lo + w_hi)/2, r_n, r_n's
-        width and w_hi - w_lo, w = b^(-n); each is one correctly rounded
-        division of a value that does not depend on the prefix's length, and
-        is computed once per prefix."""
+        width and w_hi - w_lo, w = b^(-n); each is the correctly rounded value
+        of a quotient that does not depend on the prefix's length, and is
+        computed once per prefix."""
         if not self._floats:
             lo, hi = self._sides(len(self._orbit))
             d = lo.den * hi.den
             for (n, w_lo, _), (_, w_hi, _) in zip(lo.numerators(hi.den), hi.numerators(lo.den)):
                 r_mid, r_width = _mid_width(self._orbit[n].lo, self._orbit[n].hi)
-                self._floats.append(((w_lo + w_hi) / (2 * d), r_mid, r_width, (w_hi - w_lo) / d))
+                [w_mid] = _quotients(w_lo + w_hi, 0, 2 * d, range(1))
+                self._floats.append((w_mid, r_mid, r_width, (w_hi - w_lo) / d))
             self._floats.reverse()
         return self._floats
 
@@ -406,27 +468,26 @@ class ParryDensity:
         u = np.random.default_rng(seed).random(n)
         return np.interp(u, cdf, xs)
 
-    def _cdf_column(self, xs: list[Fraction]) -> list[float]:
-        """F(x) = (M_lo(x)/Z_hi + M_hi(x)/Z_lo)/2 at the grid xs = [i/g].
+    def _cdf_column(self, probes: _Probes) -> list[float]:
+        """F(x) = (M_lo(x)/Z_hi + M_hi(x)/Z_lo)/2 at the grid probes i/g.
 
         With M_j = (P_j + x Q_j) / D_j, F(i/g) has the denominator
         E = 2g D_lo D_hi num(Z_lo) num(Z_hi) on every piece, so the sweep sums
         the lower (upper) terms times K_lo = den(Z_hi) D_hi num(Z_lo)
         (K_hi = den(Z_lo) D_lo num(Z_hi)) and each row is (n0 + i*n1) / E in
-        integers: one correctly rounded division, the float of the exact
-        Fraction interval_mass(0, x) gives.
+        integers: a run of `_quotients`, the floats of the exact Fractions
+        interval_mass(0, x) gives.
         """
-        g = len(xs)
+        g = probes.den
         z_lo, z_hi = self._normalizer(_share(self.tol, 4))
-        sweep = self._mass_sweep(xs)
+        sweep = self._mass_sweep(probes)
         d_lo, d_hi = (side.den for side in sweep.sides)
         k_lo = z_hi.denominator * d_hi * z_lo.numerator
         k_hi = z_lo.denominator * d_lo * z_hi.numerator
         e = 2 * g * d_lo * d_hi * z_lo.numerator * z_hi.numerator
         column = []
         for start, stop, n1, p in sweep.pieces((k_lo, k_hi)):
-            n0 = g * p
-            column += [(n0 + i * n1) / e for i in range(start, stop)]
+            column += _quotients(g * p, n1, e, range(start, stop))
         return column
 
     def grid_rows(self, grid_n: int = 512) -> list[tuple[float, float, float]]:
@@ -438,15 +499,16 @@ class ParryDensity:
         """
         if grid_n < 1:
             raise ValueError("need grid_n >= 1")
-        xs = [Fraction(i, grid_n) for i in range(grid_n)]  # the row x = 1 closes the grid
-        density = self._density_sweep(xs)
-        z, _ = _mid_width(*self.normalizer())
+        probes = _Probes(range(grid_n), grid_n)  # the row x = 1 closes the grid
+        density = self._density_sweep(probes)
+        z = self._normalizer_entry(Fraction(self.tol))[2]
         d_lo, d_hi = (side.den for side in density.sides)
         two_d = 2 * d_lo * d_hi
         f_col = []  # float((f_lo + f_hi)/2) / z, with f_lo + f_hi over D_lo D_hi
         for start, stop, f_sum, _ in density.pieces((d_hi, d_lo)):
-            f_col += [f_sum / two_d / z] * (stop - start)
-        cdf_col = self._cdf_column(xs) if grid_n > 1 else [0.0]
+            [f] = _quotients(f_sum, 0, two_d, range(1))
+            f_col += [f / z] * (stop - start)
+        cdf_col = self._cdf_column(probes) if grid_n > 1 else [0.0]
         rows = [(i / grid_n, f, c) for i, (f, c) in enumerate(zip(f_col, cdf_col))]
         rows.append((1.0, rows[-1][1], 1.0))
         return rows

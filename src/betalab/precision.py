@@ -149,6 +149,7 @@ class BetaNumber:
     floor_b: int
     ceil_b: int
     _value: ExactValue  # the literal's rational for bigfloat, used only to re-round
+    # scaled_bounds by bits, and float(b) under the key float
     _scaled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def exact_value(self) -> ExactValue | None:
@@ -173,7 +174,11 @@ class BetaNumber:
         return math.log2(hi.numerator) - math.log2(hi.denominator) + 1e-9
 
     def __float__(self) -> float:
-        return float((self.lo + self.hi) / 2)
+        """The float of b's midpoint, computed once per base."""
+        value = self._scaled.get(float)
+        if value is None:
+            value = self._scaled[float] = float((self.lo + self.hi) / 2)
+        return value
 
     def __str__(self) -> str:
         return self.descriptor
@@ -327,6 +332,11 @@ def _exact_orbit(
         if isinstance(x, Quadratic) and x.v == 0:
             x = x.u  # fall back to plain rationals once the sqrt part cancels
         points.append(Enclosure(*_exact_bounds(x, out_bits), exact=x))
+        if x == 0:  # T(0) = 0 with digit 0: the orbit stays at this point
+            rest = n_steps - len(points)
+            points += [points[-1]] * rest
+            digits += [0] * rest
+            break
     return points, digits
 
 

@@ -493,14 +493,16 @@ def _lhs_quadrature_cloud(ys: np.ndarray, n_total: int, m: int, b: float, q: int
 def _lhs_quadrature_uniform(c: float, d: float, m: int, b: float, q: int) -> tuple:
     """Midpoint rules on q and 2q nodes for Lebesgue on [0,1], with the
     analytic inner integral (e(th d)-e(th c))/(2 pi i th)."""
+    thetas = [2.0 * math.pi * m * np.power(b, (np.arange(n) + 0.5) / n) for n in (q, 2 * q)]
+    if not all(np.isfinite(theta).all() for theta in thetas):
+        raise ValueError(f"the node phases 2 pi m b^z for m = {m} pass the float range; "
+                         "lower m or b")
 
-    def rule(n: int) -> float:
-        zs = (np.arange(n) + 0.5) / n
-        theta = 2.0 * math.pi * m * np.power(b, zs)
+    def rule(theta: np.ndarray) -> float:
         inner = (np.exp(1j * theta * d) - np.exp(1j * theta * c)) / (1j * theta)
         return float(np.mean(np.abs(inner) ** 2))
 
-    return rule(q), rule(2 * q)
+    return tuple(map(rule, thetas))
 
 
 def _near_pairs_sorted(ys: np.ndarray, r: float) -> int:

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -400,6 +401,8 @@ def test_a_base_too_large_for_a_float_is_refused(tmp_path, capsys, argv):
     (["decay", "--iid", "1/2,1/2", "--workers", "1", "--N", "64", "--samples", "16"], 0),
     # m b^z overflows the NUFFT grid's node positions
     (["lemma32", "--mu", "parry"], 1),
+    # and the uniform measure's node phases
+    pytest.param(["lemma32"], 1, id="lemma32-uniform"),
     (["invariance", "--x", "1/3", "--N", "64"], 0),
     (["selfsim", "--samples", "20000"], 0),
     # the witness's cylinder gap, 1e-308, is within its edge slack
@@ -960,6 +963,32 @@ def test_exit_violation_still_writes_manifest(tmp_path, monkeypatch, capsys):
     assert payload["within_budget"] is False
     # artifacts and manifest must land on disk before the nonzero exit
     assert os.path.exists(os.path.join(d, "invariance_manifest.json"))
+
+
+
+def test_lemma32_violation_exits_2_and_still_writes_manifest(tmp_path, monkeypatch, capsys):
+    # the quadratures stay within their bound, so force a slack below the
+    # quadrature budget
+    sweep = cli.lemma32_sweep
+    monkeypatch.setattr(cli, "lemma32_sweep", lambda *args, **kw: [
+        replace(res, slack=-1.0, quad_error=0.0) for res in sweep(*args, **kw)])
+    d = str(tmp_path)
+    assert main(["lemma32", "--m", "4", "--r", "0.05", "--out", d]) == 2
+    assert "invariant violation" in capsys.readouterr().err
+    assert _json(d, "lemma32.json")["violations"] == 1
+    assert os.path.exists(os.path.join(d, "lemma32_manifest.json"))
+
+
+def test_selfsim_violation_exits_2_and_still_writes_manifest(tmp_path, monkeypatch, capsys):
+    # the sampled cloud passes its own check, so force a defect past 4 sigma
+    check = cli.ssm_invariance_check
+    monkeypatch.setattr(cli, "ssm_invariance_check", lambda *args, **kw: replace(
+        check(*args, **kw), within_budget=False))
+    d = str(tmp_path)
+    assert main(["selfsim", "--beta", "5/2", "--samples", "20000", "--out", d]) == 2
+    assert "invariant violation" in capsys.readouterr().err
+    assert _json(d, "selfsim.json")["invariance"]["within_budget"] is False
+    assert os.path.exists(os.path.join(d, "selfsim_manifest.json"))
 
 
 # -- artifact schemas ---------------------------------------------------------------

@@ -1,11 +1,12 @@
 import cmath
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from betalab import parry, precision
@@ -120,7 +121,7 @@ def test_sweep_refines_before_summing(monkeypatch):
     den.density_at(0)
     x = den._orbit[3].midpoint()
     xs = sorted([Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), x])
-    pieces = parry._per_probe(den._density_sweep(xs))
+    pieces = parry._per_probe(den._density_sweep(parry._Probes.of(xs)))
     assert den.digits_required > 13
     pre = den._orbit
     assert [(lo, hi) for (lo, _), (hi, _) in pieces] == [rowwise_density(den, p) for p in xs]
@@ -194,6 +195,61 @@ def test_integer_sweep_matches_fraction_sweep(case, scales):
 def test_side_rejects_a_bound_that_is_not_dyadic():
     with pytest.raises(ValueError, match="not dyadic"):
         parry._Side(Fraction(7, 5), 3)
+
+
+# -- the rounding kernel and the integer probes -------------------------------------
+
+
+@st.composite
+def quotient_runs(draw):
+    """(n0, n1, e, rows) for _quotients.  Either random big integers, or a run
+    with one row a few units of its numerator from a tie: (2k+1) 2^j / 2^t,
+    with a 53-bit k, lies halfway between two floats, and both the numerator
+    and the denominator carry one large odd factor o, so the bits that
+    _quotients cuts off are not all zero."""
+    start = draw(st.integers(0, 600))
+    rows = range(start, start + draw(st.integers(1, 8)))
+    if draw(st.booleans()):
+        return (draw(st.integers(0, 2**400)), draw(st.integers(0, 2**400)),
+                draw(st.integers(1, 2**400)), rows)
+    k = draw(st.integers(2**52, 2**53 - 1))
+    j, t = draw(st.integers(0, 10)), draw(st.integers(54, 120))
+    o = draw(st.integers(2**200, 2**300)) | 1
+    tie = (2 * k + 1) * 2**j * o
+    row = draw(st.sampled_from(rows))
+    n1 = draw(st.integers(0, tie // (row + 1)) | st.integers(0, 2**64))
+    return tie - row * n1 + draw(st.integers(-3, 3)), n1, 2**t * o, rows
+
+
+# a tie that rounds up to an even mantissa, so the lower end alone is wrong
+@example(((2 * (2**52 + 1) + 1) * 3, 0, 2**60 * 3, range(1)))
+@example((2**200 + 1, 2**100, 2**97 + 1, range(5)))
+@settings(max_examples=300)
+@given(quotient_runs())
+def test_quotients_are_the_integer_divisions(case):
+    n0, n1, e, rows = case
+    assert parry._quotients(n0, n1, e, rows) == [(n0 + i * n1) / e for i in rows]
+
+
+@st.composite
+def probe_cases(draw):
+    """Sorted distinct probes in [0, 1) and a point r that is one of them, or
+    any Fraction around them."""
+    xs = sorted(set(draw(st.lists(st.fractions(0, 1, max_denominator=10**6)
+                                  .filter(lambda x: x < 1), min_size=1, max_size=12))))
+    r = draw(st.sampled_from(xs) | st.fractions(-1, 2, max_denominator=10**9))
+    return xs, r
+
+
+@given(probe_cases())
+def test_probe_cut_is_bisect_left_over_the_fractions(case):
+    xs, r = case
+    probes = parry._Probes.of(xs)
+    assert probes.cut(r) == bisect_left(xs, r)
+    assert [probes.at(i) for i in range(len(xs))] == xs
+    g = len(xs)
+    grid = parry._Probes(range(g), g)
+    assert grid.cut(r) == bisect_left([Fraction(i, g) for i in range(g)], r)
 
 
 def per_term_fourier(den, m):

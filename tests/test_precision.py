@@ -181,6 +181,96 @@ def test_exact_branch_cut_exhausts_interval_method():
     assert bits == 0 and digs[0] == 1 and pts[0].exact == 0
 
 
+def _stepped_orbit(b_val, seed, n, out_bits):
+    """The exact orbit multiplied out at every step, also past a 0: the
+    oracle of _exact_orbit's stop at the fixed point."""
+    points, digits, x = [], [], seed
+    for _ in range(n):
+        y = b_val * x
+        k = math.floor(y)
+        x = y - k
+        if isinstance(x, Quadratic) and x.v == 0:
+            x = x.u
+        digits.append(k)
+        points.append(Enclosure(*precision._exact_bounds(x, out_bits), exact=x))
+    return points, digits
+
+
+@pytest.mark.parametrize("desc, seed, zero_at", [
+    (PHI, Fraction(1), 2),
+    ("5/2", Fraction(4, 25), 2),
+    ("3/2", Fraction(0), 1),
+    ("2", Fraction(1, 4), 2),
+])
+def test_exact_orbit_stops_at_zero_as_full_stepping_would(desc, seed, zero_at):
+    b_val = parse_beta(desc).exact_value()
+    pts, digs = precision._exact_orbit(b_val, seed, 55, 64)
+    assert (pts, digs) == _stepped_orbit(b_val, seed, 55, 64)
+    assert pts[zero_at - 1].exact == 0 and all(p.exact != 0 for p in pts[: zero_at - 1])
+
+
+def _inverse(b_val):
+    if isinstance(b_val, Quadratic):
+        norm = b_val.u**2 - b_val.d * b_val.v**2
+        return Quadratic(b_val.u / norm, -b_val.v / norm, b_val.d)
+    return 1 / b_val
+
+
+@st.composite
+def _exact_orbit_cases(draw):
+    """An exact base and a seed: a rational, or (k + j/b)/b, whose orbit
+    reaches 0 within two steps when its digits are k and j."""
+    b = _parse_base_above_one(draw(_bases().filter(lambda desc: "." not in desc)))
+    b_val = b.exact_value()
+    if draw(st.booleans()):
+        q = draw(st.integers(1, 10**6))
+        return b_val, Fraction(draw(st.integers(0, q)), q)
+    inv = _inverse(b_val)
+    k, j = draw(st.integers(0, b.floor_b)), draw(st.integers(0, b.floor_b))
+    seed = (inv * j + k) * inv
+    assume(0 <= seed <= 1)
+    return b_val, seed
+
+
+@given(_exact_orbit_cases(), st.integers(1, 40))
+def test_exact_orbit_matches_full_stepping(case, n):
+    b_val, seed = case
+    assert precision._exact_orbit(b_val, seed, n, 64) == _stepped_orbit(b_val, seed, n, 64)
+
+
+def test_an_ambiguous_branch_falls_back_to_the_exact_path(monkeypatch):
+    # T(4/25) = 2/5 and b * 2/5 = 1 lies on the cut between digits 0 and 1:
+    # no interval pass certifies that digit, so both entry points end on the
+    # exact path
+    calls = []
+    attempt, exact = precision._interval_orbit_attempt, precision._exact_orbit
+
+    def watched_attempt(*args):
+        try:
+            return attempt(*args)
+        except precision.AmbiguousBranch:
+            calls.append("ambiguous")
+            raise
+
+    def watched_exact(*args):
+        calls.append("exact")
+        return exact(*args)
+
+    monkeypatch.setattr(precision, "_interval_orbit_attempt", watched_attempt)
+    monkeypatch.setattr(precision, "_exact_orbit", watched_exact)
+    monkeypatch.setattr(precision, "_EXACT_PATH_CUTOFF", 0)
+    b, x = parse_beta("5/2"), Fraction(4, 25)
+    pts, digs, bits = orbit_with_digits(b, x, 6)
+    assert calls == ["ambiguous", "exact"] and bits == 0
+    assert digs == [0, 1, 0, 0, 0, 0]
+    assert [p.exact for p in pts] == [Fraction(2, 5)] + [0] * 5
+    calls.clear()
+    floats = tb_orbit_floats(b, x, 6).tolist()
+    assert calls == ["ambiguous", "exact"]
+    # 0.4 to within half the default 9 digits, then the fixed point 0 itself
+    assert _within_half_digit(floats, [Fraction(2, 5)] + [0] * 5, 9) and floats[1:] == [0.0] * 5
+
+
 def test_orbit_input_validation():
     b = parse_beta("2")
     with pytest.raises(ValueError):
